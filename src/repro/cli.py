@@ -89,6 +89,7 @@ from .sim import (
     latest_checkpoint,
     result_fingerprint,
 )
+from .fleet.runner import DEFAULT_SHARD_SIZE
 from .fleet.spec import FLEET_POLICIES
 from .sim.engine import InvalidDecisionError, simulate
 from .solar import four_day_trace, synthetic_trace
@@ -374,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--shard-size", type=int, metavar="N",
-        help="nodes per work item (default 32); never changes the "
-        "results",
+        help=f"nodes per work item (default {DEFAULT_SHARD_SIZE}); "
+        "never changes the results",
     )
     fleet_run.add_argument(
         "--engine", choices=("batch", "per-node"), default="batch",
@@ -812,6 +813,13 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.ok else 6
 
 
+#: Fleet-result config keys that describe how a run went, not what it
+#: computed; kept out of the manifest so a warm rerun reproduces it.
+_FLEET_RUN_STATE = (
+    "wall_time_s", "nodes_computed", "nodes_served", "nodes_per_s",
+)
+
+
 def _cmd_fleet(args, out) -> int:
     from .fleet import FleetResult, FleetRunner, FleetSpec
 
@@ -908,11 +916,18 @@ def _cmd_fleet(args, out) -> int:
     print(result.render(), file=out)
     print(file=out)
     print(
-        f"throughput:  {len(result) / wall:.1f} nodes/s "
-        f"({wall:.2f}s, {result.config['workers']} worker(s), "
+        f"throughput:  {result.config['nodes_computed'] / wall:.1f} "
+        f"nodes/s ({result.config['nodes_computed']} computed, "
+        f"{wall:.2f}s, {result.config['workers']} worker(s), "
         f"shard size {result.config['shard_size']})",
         file=out,
     )
+    if result.config["nodes_served"]:
+        print(
+            f"checkpoints: {result.config['nodes_served']} node(s) "
+            "served from shard checkpoints",
+            file=out,
+        )
     print(f"fingerprint: {result.fingerprint()}", file=out)
     if result.degraded:
         ids = ",".join(str(f.node_id) for f in result.failed_nodes)
@@ -938,7 +953,7 @@ def _cmd_fleet(args, out) -> int:
             benchmark="fleet",
             timeline=timeline_dict(spec.timeline()),
             config={k: v for k, v in result.config.items()
-                    if k not in ("wall_time_s", "nodes_per_s")},
+                    if k not in _FLEET_RUN_STATE},
             result_summary=result.summary(),
             wall_time_s=wall,
         )

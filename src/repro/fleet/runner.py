@@ -43,6 +43,7 @@ worker kills, hangs and poison nodes deterministically to prove it.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -89,10 +90,33 @@ __all__ = [
 #: batched-vs-per-node oracle and the conformance test wall.
 ENGINES = ("batch", "per-node")
 
-#: Nodes per work item.  Small enough to load-balance a handful of
-#: workers on mid-sized fleets, big enough that the per-item pickle and
-#: base-trace rebuild cost stays negligible.
-DEFAULT_SHARD_SIZE = 32
+#: Nodes per work item: the widest batch whose peak RSS stays within
+#: +5% of the 32-node shards it replaced.  The batched engine pays its
+#: per-slot Python overhead once per shard, so throughput grows with
+#: width; its columnar books keep memory near flat until the weather
+#: and period books themselves dominate.  Measured with
+#: ``perfbench/run.py --seed 0 --seconds 20`` (1024-node fleet, median
+#: of 3-7 runs) on a 2-core x86-64 Xeon, Linux, Python 3.11.7, numpy
+#: 2.4.6:
+#:
+#: ======  =====================  ======================
+#: width   fleet_default          fleet_resume_pool
+#:         (serial, cold cache)   (2 workers, half warm)
+#: ======  =====================  ======================
+#: 32 *    52.6 nodes/s, 44.8 MB  84.1 nodes/s, 40.1 MB
+#: 64      87.0 nodes/s, 44.5 MB  152 nodes/s, 40.0 MB
+#: 128     150 nodes/s, 44.9 MB   211 nodes/s, 40.0 MB
+#: 256     184 nodes/s, 46.2 MB   294 nodes/s, 40.2 MB
+#: 512     221 nodes/s, 49.0 MB   198 nodes/s, 49.1 MB
+#: ======  =====================  ======================
+#:
+#: (* the previous default, before the columnar books.)  512 breaks
+#: the memory bound on both workloads, and leaves a 1024-node resume
+#: with one pending shard for two workers.  A constant, never derived
+#: from the worker count: the shard layout keys the checkpoint
+#: digests, so a worker-dependent layout would make a fleet
+#: checkpointed on one worker count miss every checkpoint on another.
+DEFAULT_SHARD_SIZE = 256
 
 #: Artifact-cache namespace of shard checkpoints.
 SHARD_KIND = "fleet-shard"
@@ -190,19 +214,53 @@ def simulate_node(fleet: FleetSpec, base_trace, spec: NodeSpec) -> NodeSummary:
     return _summarize(spec, graph, result)
 
 
-def _batch_case(spec: NodeSpec, graph, base_trace):
-    """Build the :class:`~repro.sim.batch.BatchCase` for one node."""
-    from ..sim.batch import BatchCase
+def _batch_eligible(specs: Sequence[NodeSpec]) -> List[tuple]:
+    """``(position, spec, graph)`` of every batch-eligible spec.
 
-    return BatchCase(
-        graph=graph,
-        trace=node_trace(base_trace, spec),
-        capacitors=tuple(
-            SuperCapacitor(capacitance=c) for c in spec.bank_farads
-        ),
-        policy=spec.policy,
-        scheduler_seed=spec.scheduler_seed,
+    Eligible means a policy in :data:`~repro.sim.batch.BATCH_POLICIES`
+    and a task count within the batch width.  Nodes of one workload
+    share one (immutable) graph.
+    """
+    from ..sim.batch import batch_ineligibility
+
+    kinds = {spec.graph_kind for spec in specs}
+    graphs = {kind: build_graph(kind) for kind in kinds}
+    return [
+        (i, spec, graphs[spec.graph_kind])
+        for i, spec in enumerate(specs)
+        if batch_ineligibility(spec.policy, graphs[spec.graph_kind]) is None
+    ]
+
+
+def _batch_summaries(base_trace, eligible) -> Dict[int, NodeSummary]:
+    """Summaries of :func:`_batch_eligible` nodes, keyed by position.
+
+    The one batch-and-summarise step of both shard executors and the
+    batched-vs-per-node oracle.  Each case draws its weather lazily,
+    so the batch holds it once; banks share one frozen device per
+    capacitance; and the columnar results are summarised node by
+    node, so one node's period records are alive at a time.
+    """
+    from ..sim.batch import BatchCase, simulate_batch
+
+    farads = {c for _, spec, _ in eligible for c in spec.bank_farads}
+    devices = {c: SuperCapacitor(capacitance=c) for c in farads}
+    results = simulate_batch(
+        [
+            BatchCase(
+                graph=graph,
+                trace=functools.partial(node_trace, base_trace, spec),
+                capacitors=tuple(devices[c] for c in spec.bank_farads),
+                policy=spec.policy,
+                scheduler_seed=spec.scheduler_seed,
+            )
+            for _, spec, graph in eligible
+        ]
     )
+    return {
+        i: _summarize(spec, graph, result)
+        for (i, spec, graph), result in zip(eligible, results)
+    }
 
 
 def simulate_shard_batch(
@@ -210,33 +268,18 @@ def simulate_shard_batch(
 ) -> List[NodeSummary]:
     """Batched counterpart of mapping :func:`simulate_node` over specs.
 
-    Eligible nodes (policy in :data:`~repro.sim.batch.BATCH_POLICIES`,
-    task count within the batch width) advance together through one
-    node-major engine; the rest — ``proposed``/``dvfs`` policies,
-    oversized graphs — run through :func:`simulate_node`.  Summaries
-    come back in input order and are bit-identical to the per-node
-    path (the batched-vs-per-node oracle holds this contract).
+    Eligible nodes run through one node-major engine
+    (:func:`_batch_summaries`); the rest — ``proposed``/``dvfs``
+    policies, oversized graphs — run through :func:`simulate_node`.
+    Summaries come back in input order and are bit-identical to the
+    per-node path (the batched-vs-per-node oracle holds this contract).
     """
-    from ..sim.batch import batch_ineligibility, simulate_batch
-
     specs = list(specs)
-    graphs = [build_graph(s.graph_kind) for s in specs]
-    eligible = [
-        i
-        for i, (s, g) in enumerate(zip(specs, graphs))
-        if batch_ineligibility(s.policy, g) is None
+    done = _batch_summaries(base_trace, _batch_eligible(specs))
+    return [
+        done[i] if i in done else simulate_node(fleet, base_trace, spec)
+        for i, spec in enumerate(specs)
     ]
-    summaries: List[Optional[NodeSummary]] = [None] * len(specs)
-    if eligible:
-        cases = [
-            _batch_case(specs[i], graphs[i], base_trace) for i in eligible
-        ]
-        for i, result in zip(eligible, simulate_batch(cases)):
-            summaries[i] = _summarize(specs[i], graphs[i], result)
-    for i, spec in enumerate(specs):
-        if summaries[i] is None:
-            summaries[i] = simulate_node(fleet, base_trace, spec)
-    return [s for s in summaries if s is not None]
 
 
 def node_spec_digest(spec: NodeSpec) -> str:
@@ -307,49 +350,35 @@ def _run_shard(item):
                 "engine": engine,
             },
         ):
-            if engine == "batch" and chaos is None:
-                from ..sim.batch import batch_ineligibility, simulate_batch
-
-                eligible = []
-                for node_id in node_ids:
-                    spec = fleet.node_spec(node_id)
-                    graph = build_graph(spec.graph_kind)
-                    if batch_ineligibility(spec.policy, graph) is None:
-                        eligible.append((node_id, spec, graph))
-                if eligible:
-                    with tracer.span(
-                        "batch",
-                        key=shard_index,
-                        attrs={
-                            "shard_index": shard_index,
-                            "n_nodes": len(eligible),
-                        },
-                    ) as span:
-                        try:
-                            results = simulate_batch(
-                                [
-                                    _batch_case(spec, graph, base)
-                                    for _, spec, graph in eligible
-                                ]
-                            )
-                        except KeyboardInterrupt:
-                            raise
-                        except Exception as exc:
-                            # Whole-batch failure: annotate and let the
-                            # per-node loop (with its retry/quarantine
-                            # machinery) re-run every covered node.
-                            span.annotate(
-                                failed=True,
-                                error_type=type(exc).__name__,
-                            )
-                        else:
-                            for (node_id, spec, graph), result in zip(
-                                eligible, results
-                            ):
-                                done[node_id] = _summarize(
-                                    spec, graph, result
-                                )
-                            span.annotate(n_batched=len(results))
+            eligible = (
+                _batch_eligible([fleet.node_spec(i) for i in node_ids])
+                if engine == "batch" and chaos is None
+                else []
+            )
+            if eligible:
+                with tracer.span(
+                    "batch",
+                    key=shard_index,
+                    attrs={
+                        "shard_index": shard_index,
+                        "n_nodes": len(eligible),
+                    },
+                ) as span:
+                    try:
+                        batched = _batch_summaries(base, eligible)
+                    except KeyboardInterrupt:
+                        raise
+                    except Exception as exc:
+                        # Whole-batch failure: annotate and let the
+                        # per-node loop (with its retry/quarantine
+                        # machinery) re-run every covered node.
+                        span.annotate(
+                            failed=True, error_type=type(exc).__name__
+                        )
+                    else:
+                        for i, summary in batched.items():
+                            done[node_ids[i]] = summary
+                        span.annotate(n_batched=len(batched))
             for node_id in node_ids:
                 if node_id in done:
                     continue
@@ -790,6 +819,9 @@ class FleetRunner:
                 ]
             )
         wall = time.perf_counter() - start
+        # Throughput counts computed nodes only: nodes served from
+        # shard checkpoints cost a cache read, not a simulation.
+        computed = sum(len(shards[i]) for i in pending)
         result = FleetResult(
             nodes,
             config={
@@ -799,7 +831,9 @@ class FleetRunner:
                 "engine": self.engine,
                 "shards": len(shards),
                 "wall_time_s": wall,
-                "nodes_per_s": len(nodes) / wall if wall > 0 else 0.0,
+                "nodes_computed": computed,
+                "nodes_served": sum(map(len, shards)) - computed,
+                "nodes_per_s": computed / wall if wall > 0 else 0.0,
                 "max_retries": self.max_retries,
                 "task_timeout": self.task_timeout,
                 "on_node_error": self.on_node_error,

@@ -12,11 +12,12 @@ node death-and-resume:
   backoff (:func:`backoff_delay` derives the jitter from a sha256 of
   ``(seed, index, attempt)``, never from wall-clock or a shared RNG,
   so two runs back off identically);
-- **per-task timeouts** — a task that exceeds ``task_timeout`` seconds
-  is charged an attempt and re-dispatched; the stuck worker cannot be
-  cancelled cooperatively, so the pool is rebuilt and every *innocent*
-  in-flight task is re-submitted without an attempt charge (straggler
-  re-submission);
+- **per-task timeouts** — a task that runs longer than
+  ``task_timeout`` seconds (timed from its dispatch to a free worker,
+  not from when it was queued) is charged an attempt and
+  re-dispatched; the stuck worker cannot be cancelled cooperatively,
+  so the pool is rebuilt and every *innocent* in-flight task is
+  re-submitted without an attempt charge (straggler re-submission);
 - **pool recovery** — a dying worker (``BrokenProcessPool``) rebuilds
   the pool and re-dispatches the in-flight tasks, each charged one
   attempt (this bounds a poison task that kills its worker every
@@ -393,7 +394,11 @@ class _Supervisor:
             while to_submit or inflight:
                 now = time.monotonic()
                 held: List[Tuple[int, int, float]] = []
-                while to_submit:
+                # At most one task per worker in flight: a task's
+                # deadline then starts when a worker is free to run it,
+                # so the budget times the task itself, never the queue
+                # of tasks ahead of it.
+                while to_submit and len(inflight) < workers:
                     index, attempt, not_before = to_submit.popleft()
                     if now < not_before:
                         held.append((index, attempt, not_before))

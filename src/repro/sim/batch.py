@@ -55,7 +55,15 @@ from __future__ import annotations
 
 import dataclasses
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -64,6 +72,7 @@ from ..schedulers.lsa import admit_by_energy
 from ..solar.prediction import WCMAPredictor
 from ..solar.trace import SolarTrace
 from ..tasks.graph import TaskGraph
+from ..timeline import Timeline
 from .recorder import PeriodRecord, SimulationResult
 from .state import COMPLETION_EPS
 
@@ -71,6 +80,7 @@ __all__ = [
     "BATCH_POLICIES",
     "MAX_BATCH_TASKS",
     "BatchCase",
+    "BatchResults",
     "batch_ineligibility",
     "simulate_batch",
     "simulate_cases",
@@ -109,13 +119,20 @@ class BatchCase:
     """
 
     graph: TaskGraph
-    trace: SolarTrace
+    #: The node's weather, or a zero-argument callable that draws it.
+    #: The batched engine draws a callable straight into its solar
+    #: array and keeps no per-node copy.
+    trace: Union[SolarTrace, Callable[[], SolarTrace]]
     capacitors: Tuple[SuperCapacitor, ...]
     policy: str
     scheduler_seed: int = 0
     #: Present only so dispatchers can carry fault-scenario cases; a
     #: non-None injector always routes to the per-node engine.
     fault_injector: object = None
+
+    def solar_trace(self) -> SolarTrace:
+        """The node's weather, drawn now if :attr:`trace` is a callable."""
+        return self.trace() if callable(self.trace) else self.trace
 
 
 def batch_ineligibility(
@@ -146,12 +163,15 @@ def _node_leak_row(
     return [d.leak_coeff * d.capacitance for d in devices]
 
 
-def simulate_batch(cases: Sequence[BatchCase]) -> List[SimulationResult]:
+def simulate_batch(cases: Sequence[BatchCase]) -> Sequence[SimulationResult]:
     """Simulate every case in one node-major batch; results in order.
 
     Every case must be batch-eligible (see :func:`batch_ineligibility`)
     and share one timeline; use :func:`simulate_cases` for transparent
-    per-node fallback.
+    per-node fallback.  The results are a :class:`BatchResults`: each
+    node's :class:`SimulationResult` is built from the batch's columnar
+    books when it is read, so iterating keeps one node's period
+    records alive at a time (``list(...)`` them to keep every node's).
     """
     cases = list(cases)
     if not cases:
@@ -172,16 +192,13 @@ def simulate_cases(cases: Sequence[BatchCase]) -> List[SimulationResult]:
         i for i, c in enumerate(cases)
         if batch_ineligibility(c.policy, c.graph, c.fault_injector) is None
     ]
-    results: Dict[int, SimulationResult] = {}
-    if eligible:
-        for i, res in zip(
-            eligible, simulate_batch([cases[i] for i in eligible])
-        ):
-            results[i] = res
-    for i, case in enumerate(cases):
-        if i not in results:
-            results[i] = _simulate_per_node(case)
-    return [results[i] for i in range(len(cases))]
+    results: Dict[int, SimulationResult] = dict(
+        zip(eligible, simulate_batch([cases[i] for i in eligible]))
+    )
+    return [
+        results[i] if i in results else _simulate_per_node(case)
+        for i, case in enumerate(cases)
+    ]
 
 
 def _simulate_per_node(case: BatchCase) -> SimulationResult:
@@ -211,11 +228,116 @@ def _simulate_per_node(case: BatchCase) -> SimulationResult:
     return simulate(
         node,
         case.graph,
-        case.trace,
+        case.solar_trace(),
         makers[case.policy](),
         strict=False,
         fault_injector=case.fault_injector,
     )
+
+
+# ----------------------------------------------------------------------
+# Columnar period books
+# ----------------------------------------------------------------------
+#: The float books of a :class:`PeriodRecord`, in the engine's
+#: accumulation order (the last axis of :attr:`BatchResults.energy`).
+_ENERGY_FIELDS = (
+    "solar_energy",
+    "load_energy",
+    "direct_energy",
+    "storage_energy",
+    "charged_energy",
+    "offered_surplus",
+    "leakage_energy",
+)
+
+
+class BatchResults(Sequence[SimulationResult]):
+    """The period books of one batch, stored node-major.
+
+    The engine writes each period's books for every node into
+    preallocated arrays — ``miss_count``/``brownouts`` ``(n, periods)``,
+    ``energy`` ``(n, periods, 7)`` (:data:`_ENERGY_FIELDS`),
+    ``executed`` ``(n, periods, t_max)`` and ``start_voltages``
+    ``(n, periods, c_max)`` — instead of one :class:`PeriodRecord` per
+    node and period.  Indexing builds that node's
+    :class:`SimulationResult` from its row, so a consumer iterating
+    node by node keeps one node's record objects alive at a time.
+    The rebuilt records are field-for-field what the per-node engine
+    records, so :func:`~repro.sim.checkpoint.result_fingerprint` is
+    unchanged.
+    """
+
+    def __init__(
+        self,
+        timeline: Timeline,
+        scheduler_names: List[str],
+        t_ns: List[int],
+        c_ns: List[int],
+        active: List[int],
+    ) -> None:
+        n, periods = len(scheduler_names), timeline.total_periods
+        self.timeline = timeline
+        self._names = scheduler_names
+        self._t_ns = t_ns
+        self._c_ns = c_ns
+        self._active = active
+        self._day_period = [
+            timeline.unflatten_period(p) for p in range(periods)
+        ]
+        self.miss_count = np.zeros((n, periods), dtype=np.int32)
+        self.brownouts = np.zeros((n, periods), dtype=np.int32)
+        self.energy = np.zeros((n, periods, len(_ENERGY_FIELDS)))
+        self.executed = np.zeros((n, periods, max(t_ns)), dtype=bool)
+        self.start_voltages = np.zeros((n, periods, max(c_ns)))
+
+    def record_period(
+        self,
+        flat_p: int,
+        miss_count: np.ndarray,
+        executed: np.ndarray,
+        energies: Sequence[np.ndarray],
+        brownouts: np.ndarray,
+    ) -> None:
+        """Store one finished period's books for every node."""
+        self.miss_count[:, flat_p] = miss_count
+        self.executed[:, flat_p] = executed
+        for k, column in enumerate(energies):
+            self.energy[:, flat_p, k] = column
+        self.brownouts[:, flat_p] = brownouts
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __getitem__(self, row: int) -> SimulationResult:
+        n = len(self)
+        if not -n <= row < n:
+            raise IndexError(f"batch row {row} out of range [0, {n})")
+        row %= n
+        t_n, c_n = self._t_ns[row], self._c_ns[row]
+        executed = self.executed[row, :, :t_n]
+        volts = self.start_voltages[row, :, :c_n]
+        records = [
+            PeriodRecord(
+                day=day,
+                period=period,
+                dmr=misses / t_n,
+                miss_count=misses,
+                executed=executed[p].copy(),
+                **dict(zip(_ENERGY_FIELDS, energies)),
+                brownout_slots=brown,
+                start_voltages=volts[p].copy(),
+                active_index=self._active[row],
+            )
+            for p, ((day, period), misses, energies, brown) in enumerate(
+                zip(
+                    self._day_period,
+                    self.miss_count[row].tolist(),
+                    self.energy[row].tolist(),
+                    self.brownouts[row].tolist(),
+                )
+            )
+        ]
+        return SimulationResult(self.timeline, self._names[row], records)
 
 
 # ----------------------------------------------------------------------
@@ -226,28 +348,37 @@ class _BatchEngine:
 
     def __init__(self, cases: List[BatchCase]) -> None:
         self.cases = cases
-        tl = cases[0].trace.timeline
-        for i, case in enumerate(cases):
-            if case.trace.timeline != tl:
+        self.n = len(cases)
+        self._rows = np.arange(self.n)
+        self._setup_solar()
+        self._setup_tasks()
+        self._setup_bank()
+        self._setup_policies()
+
+    def _setup_solar(self) -> None:
+        """The ``(n, total_periods, slots)`` solar powers, one gather
+        per slot.
+
+        Each node's trace is drawn (when a case carries a factory) and
+        copied into its row in turn, so the batch holds the weather
+        once, not once per node plus once stacked.
+        """
+        first = self.cases[0].solar_trace()
+        tl = first.timeline
+        self.tl = tl
+        self._solar = np.empty(
+            (self.n, tl.total_periods, tl.slots_per_period)
+        )
+        for i, case in enumerate(self.cases):
+            trace = first if i == 0 else case.solar_trace()
+            if trace.timeline != tl:
                 raise ValueError(
                     f"case {i} timeline differs from case 0; a batch "
                     "shares one timeline"
                 )
-        self.tl = tl
-        self.n = len(cases)
-        self._rows = np.arange(self.n)
-        self._setup_tasks()
-        self._setup_bank()
-        self._setup_policies()
-        # (n, total_periods, slots) solar powers, one gather per slot.
-        self._solar = np.stack(
-            [
-                case.trace.power.reshape(
-                    tl.total_periods, tl.slots_per_period
-                )
-                for case in cases
-            ]
-        )
+            self._solar[i] = trace.power.reshape(
+                tl.total_periods, tl.slots_per_period
+            )
 
     # ------------------------------------------------------------------
     def _setup_tasks(self) -> None:
@@ -416,9 +547,11 @@ class _BatchEngine:
                 for r in range(1, t_intra + 1)
                 for combo in combinations(range(t_intra), r)
             ]
+            # int16 holds every MAX_BATCH_TASKS-bit mask and keeps the
+            # per-slot (intra rows, combos) availability temporary small.
             self.combo_bits = np.array(
                 [sum(1 << p for p in combo) for combo in combos],
-                dtype=np.int64,
+                dtype=np.int16,
             )
             # Power sums are static per node: accumulate each combo in
             # ascending position order like the scalar sum(...) does.
@@ -543,7 +676,7 @@ class _BatchEngine:
         return lost
 
     # ------------------------------------------------------------------
-    def run(self) -> List[SimulationResult]:
+    def run(self) -> "BatchResults":
         tl = self.tl
         n, t_max, k_max = self.n, self.t_max, self.k_max
         rows = self._rows
@@ -561,13 +694,19 @@ class _BatchEngine:
         # Admission filter: everything admitted except what the LSA
         # rows restrict per period (cold-start admits the full set).
         admitted = np.ones((n, t_max), dtype=bool)
-        records: List[List[PeriodRecord]] = [[] for _ in range(n)]
+        books = BatchResults(
+            tl,
+            [_SCHEDULER_NAMES[case.policy] for case in self.cases],
+            self.t_ns,
+            self.c_ns,
+            self.active_col.tolist(),
+        )
 
         for flat_p in range(tl.total_periods):
             day, period = tl.unflatten_period(flat_p)
             if has_lsa and flat_p > 0:
                 self._admit_lsa(day, period, v, admitted)
-            v_snapshot = v.copy()
+            books.start_voltages[:, flat_p] = v
             remaining = self.exec0.copy()
             missed = np.zeros((n, t_max), dtype=bool)
             started = np.zeros((n, t_max), dtype=bool)
@@ -654,10 +793,10 @@ class _BatchEngine:
                 if has_intra:
                     budget = np.maximum(solar_vec - mand_load, 0.0)
                     optional = per_nvp & ~must
-                    opt_bits = np.zeros(n, dtype=np.int64)
+                    opt_bits = np.zeros(n, dtype=np.int16)
                     for p in range(t_max):
                         opt_bits = opt_bits | np.where(
-                            optional[:, p], np.int64(1 << p), np.int64(0)
+                            optional[:, p], np.int16(1 << p), np.int16(0)
                         )
                     ob = opt_bits[self.idx_intra]
                     affordable = self.combo_sums <= (
@@ -772,43 +911,22 @@ class _BatchEngine:
             # End of period: boundary deadline check + final sweep both
             # collapse to "every incomplete valid task is missed".
             missed |= self.valid & ~(remaining <= COMPLETION_EPS)
-            miss_count = missed.sum(axis=1)
-            for row in range(n):
-                t_n = self.t_ns[row]
-                records[row].append(
-                    PeriodRecord(
-                        day=day,
-                        period=period,
-                        dmr=int(miss_count[row]) / t_n,
-                        miss_count=int(miss_count[row]),
-                        executed=started[row, :t_n].copy(),
-                        solar_energy=float(solar_e[row]),
-                        load_energy=float(load_e[row]),
-                        direct_energy=float(direct_e[row]),
-                        storage_energy=float(storage_e[row]),
-                        charged_energy=float(charged_e[row]),
-                        offered_surplus=float(offered_e[row]),
-                        leakage_energy=float(leak_e[row]),
-                        brownout_slots=int(brownouts[row]),
-                        start_voltages=v_snapshot[
-                            row, : self.c_ns[row]
-                        ].copy(),
-                        active_index=int(self.active_col[row]),
-                    )
-                )
+            books.record_period(
+                flat_p,
+                missed.sum(axis=1),
+                started,
+                (
+                    solar_e, load_e, direct_e, storage_e,
+                    charged_e, offered_e, leak_e,
+                ),
+                brownouts,
+            )
             for i in self.idx_lsa:
                 self.predictors[int(i)].observe(
                     day, period, float(solar_e[i])
                 )
 
-        return [
-            SimulationResult(
-                tl,
-                _SCHEDULER_NAMES[self.cases[row].policy],
-                records[row],
-            )
-            for row in range(n)
-        ]
+        return books
 
     # ------------------------------------------------------------------
     def _admit_lsa(

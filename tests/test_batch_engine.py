@@ -15,6 +15,7 @@ scalar engine — not statistical agreement.  This suite pins it:
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,30 @@ class TestDegenerateShapes:
     def test_empty_batch(self):
         assert simulate_batch([]) == []
 
+    def test_trace_factory_matches_trace(self):
+        """A case may carry a weather factory; the engine draws it into
+        its own solar array with the identical result."""
+        case = self._clean_case(seed=3, policy="inter-task")
+        drawn = dataclasses.replace(case, trace=lambda: case.trace)
+        (want,) = simulate_batch([case])
+        (got,) = simulate_batch([drawn])
+        assert result_fingerprint(got) == result_fingerprint(want)
+
+    def test_results_index_like_a_sequence(self):
+        cases = [self._clean_case(seed=i) for i in range(3)]
+        results = simulate_batch(cases)
+        assert len(results) == 3
+        assert result_fingerprint(results[-1]) == result_fingerprint(
+            results[2]
+        )
+        with pytest.raises(IndexError):
+            results[3]
+        # Each read rebuilds the node's records from the columnar books.
+        assert results[0].periods is not results[0].periods
+        assert [result_fingerprint(r) for r in results] == [
+            result_fingerprint(r) for r in list(results)
+        ]
+
     def test_ineligible_case_raises(self):
         case = self._clean_case()
         case.policy = "dvfs"
@@ -271,7 +296,8 @@ def test_batch_split_invariance(seed, n_nodes, data):
     whole = [result_fingerprint(r) for r in simulate_batch(cases)]
     split = [
         result_fingerprint(r)
-        for r in simulate_batch(cases[:cut]) + simulate_batch(cases[cut:])
+        for part in (cases[:cut], cases[cut:])
+        for r in simulate_batch(part)
     ]
     assert whole == split
 
@@ -375,6 +401,28 @@ class TestFleetEngines:
         assert batch.fingerprint() == per_node.fingerprint()
         assert batch.config["engine"] == "batch"
         assert per_node.config["engine"] == "per-node"
+
+    def test_wide_shard_memory_stays_flat(self):
+        """A 256-node batched shard peaks below 12 KB traced per node.
+
+        Period books are columnar and summarised node by node, and the
+        weather is drawn straight into the engine's one solar array, so
+        per-node record objects and trace copies never pile up.
+        """
+        fleet = FleetSpec(n_nodes=256, seed=0)
+        base = fleet.base_trace()
+        specs = fleet.node_specs()
+        simulate_shard_batch(fleet, base, specs[:4])  # warm imports
+        tracemalloc.start()
+        try:
+            summaries = simulate_shard_batch(fleet, base, specs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(summaries) == fleet.n_nodes
+        assert peak / fleet.n_nodes < 12 * 1024, (
+            f"{peak / fleet.n_nodes / 1024:.1f} KB per node"
+        )
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):

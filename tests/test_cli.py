@@ -267,6 +267,18 @@ class TestFleetCommand:
         assert code == 0
         assert _fingerprint(report_text) == _fingerprint(run_text)
 
+    def test_warm_rerun_counts_only_computed_nodes(self):
+        argv = ("fleet", "run", "--nodes", "4", "--seed", "1")
+        code, cold = run_cli(*argv)
+        assert code == 0
+        assert "(4 computed," in cold
+        assert "checkpoints:" not in cold
+        code, warm = run_cli(*argv)
+        assert code == 0
+        assert "throughput:  0.0 nodes/s (0 computed," in warm
+        assert "checkpoints: 4 node(s) served from shard checkpoints" in warm
+        assert _fingerprint(warm) == _fingerprint(cold)
+
     def test_report_garbage_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not a fleet result")
@@ -384,9 +396,12 @@ def _case_perf_regression(tmp_path, monkeypatch):
     )
     baseline_path = tmp_path / "baseline.json"
     baseline_path.write_text(json.dumps(baseline))
+    # The trend row goes to tmp_path, never to the working directory's
+    # .benchmarks/history.jsonl.
     return [
         "bench", "--quick", "--out", str(tmp_path / "report.json"),
         "--baseline", str(baseline_path),
+        "--history-file", str(tmp_path / "history.jsonl"),
     ]
 
 
@@ -448,6 +463,12 @@ class TestExitCodeMatrix:
         argv = build_argv(tmp_path, monkeypatch)
         code, _ = run_cli(*argv)
         assert code == expected
+
+    def test_bench_history_row_lands_in_tmp_path(self, tmp_path, monkeypatch):
+        code, _ = run_cli(*_case_perf_regression(tmp_path, monkeypatch))
+        assert code == 5
+        rows = (tmp_path / "history.jsonl").read_text().splitlines()
+        assert len(rows) == 1
 
     def test_matrix_covers_every_documented_code(self):
         assert {code for _, _, code in EXIT_CODE_MATRIX} == {

@@ -254,6 +254,44 @@ class TestFleetRunner:
                 f"workers={workers} shard_size={shard_size}"
             )
 
+    def test_fingerprint_equal_across_shard_sizes(self):
+        """Sizes 1, 7, the default and the whole fleet agree bit-for-bit.
+
+        A short timeline keeps the 12 single-node batches cheap.
+        """
+        spec = FleetSpec(n_nodes=12, seed=5, periods_per_day=6)
+        fingerprints = {
+            size: run_fleet(spec, shard_size=size, cache=False).fingerprint()
+            for size in (1, 7, DEFAULT_SHARD_SIZE, spec.n_nodes)
+        }
+        assert len(set(fingerprints.values())) == 1, fingerprints
+
+    def test_resume_on_more_workers_serves_every_shard(self, tmp_path):
+        """The default shard layout never depends on the worker count.
+
+        Shard checkpoints are keyed by their node ids, so a layout that
+        followed ``workers`` would make this resume miss every entry.
+        """
+        cache = ArtifactCache(tmp_path / "ck")
+        cold = FleetRunner(SMALL, workers=1, cache=cache).run()
+        events = []
+
+        class Spy:
+            def write(self, record):
+                events.append(record)
+
+        warm = FleetRunner(
+            SMALL, workers=2, cache=cache,
+            observer=Observer(sinks=[Spy()]),
+        ).run()
+        assert warm.fingerprint() == cold.fingerprint()
+        shard_events = [e for e in events if e["kind"] == "fleet_shard"]
+        assert shard_events and all(e["cached"] for e in shard_events)
+        assert warm.config["nodes_served"] == SMALL.n_nodes
+        assert warm.config["nodes_computed"] == 0
+        # Checkpoint-served nodes never count as throughput.
+        assert warm.config["nodes_per_s"] == 0.0
+
     def test_shard_partition(self):
         runner = FleetRunner(SMALL, shard_size=3, cache=False)
         shards = runner.shards()
@@ -327,6 +365,8 @@ class TestFleetRunner:
         assert result.config["shard_size"] == 3
         assert result.config["shards"] == 3
         assert result.config["n_nodes"] == SMALL.n_nodes
+        assert result.config["nodes_computed"] == SMALL.n_nodes
+        assert result.config["nodes_served"] == 0
         assert result.config["nodes_per_s"] > 0
 
     def test_proposed_policy_pool(self, tmp_path, monkeypatch):

@@ -83,6 +83,11 @@ def _hang_first_attempt(payload):
     return x * 2
 
 
+def _nap(x):
+    time.sleep(0.4)
+    return x * 2
+
+
 # ----------------------------------------------------------------------
 # Policy and backoff
 # ----------------------------------------------------------------------
@@ -293,6 +298,18 @@ class TestPoolSupervision:
             n_workers=1, prepare=_with_attempt,
         )
         assert sup.results == [2, 4] and sup.timeouts >= 1
+
+    def test_timeout_times_the_task_not_its_queue(self):
+        # Five 0.4 s tasks on one worker take 2 s in all, but each runs
+        # well inside its 1.5 s budget: time spent queued behind the
+        # others must not count against it.
+        sup = supervised_map(
+            _nap, list(range(5)),
+            policy=SupervisorPolicy(task_timeout=1.5, **NO_BACKOFF),
+            n_workers=1,
+        )
+        assert sup.results == [x * 2 for x in range(5)]
+        assert sup.timeouts == 0 and sup.retries == 0
 
 
 # ----------------------------------------------------------------------
