@@ -15,18 +15,25 @@
 
 The result is a :class:`TrainedPolicy` that can build matching nodes
 and online schedulers for deployment traces.
+
+Two process-local memos sit in front of the disk cache:
+:func:`trained_policy` trains each :meth:`OfflinePipeline.cache_key`
+once per process and :func:`memo_trace` synthesises each
+``(Timeline, seed)`` trace once per process.  :func:`clear_memos`
+empties both.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..energy.capacitor import SuperCapacitor
 from ..energy.sizing import DEFAULT_CANDIDATES, migration_series, size_bank
 from ..node.node import SensorNode
+from ..solar.days import synthetic_trace
 from ..solar.panel import SolarPanel
 from ..solar.trace import SolarTrace
 from ..tasks.graph import TaskGraph
@@ -44,7 +51,19 @@ from .longterm import (
 from .online import DBNPolicy, ProposedScheduler
 from .period_profile import build_schedule_matrix
 
-__all__ = ["OfflinePipeline", "TrainedPolicy", "asap_load_profile"]
+__all__ = [
+    "OfflinePipeline",
+    "TrainedPolicy",
+    "asap_load_profile",
+    "clear_memos",
+    "memo_trace",
+    "trained_policy",
+]
+
+#: Trained policies by :meth:`OfflinePipeline.cache_key`.
+_POLICIES: Dict[str, "TrainedPolicy"] = {}
+#: Read-only synthetic traces by ``(Timeline, seed)``.
+_TRACES: Dict[Tuple[Timeline, int], SolarTrace] = {}
 
 
 def asap_load_profile(graph: TaskGraph, timeline: Timeline) -> np.ndarray:
@@ -130,8 +149,14 @@ class OfflinePipeline:
         self.seed = seed
 
     # ------------------------------------------------------------------
-    def size_capacitors(self, trace: SolarTrace) -> List[SuperCapacitor]:
-        """Section 4.1 on the training trace."""
+    def daily_migration(
+        self, trace: SolarTrace
+    ) -> Tuple[List[np.ndarray], List[float]]:
+        """Per-day ``ΔE`` series under the ASAP load, and day weights.
+
+        The weights are each day's solar energy, which Section 4.1
+        clusters the per-day optima by.
+        """
         tl = trace.timeline
         load_one_period = asap_load_profile(self.graph, tl)
         load_day = np.tile(load_one_period, tl.periods_per_day)
@@ -143,6 +168,12 @@ class OfflinePipeline:
                 migration_series(solar_day, load_day, tl.slot_seconds)
             )
             weights.append(trace.daily_energy(day))
+        return daily_delta_e, weights
+
+    def size_capacitors(self, trace: SolarTrace) -> List[SuperCapacitor]:
+        """Section 4.1 on the training trace."""
+        tl = trace.timeline
+        daily_delta_e, weights = self.daily_migration(trace)
         return size_bank(
             daily_delta_e,
             tl.slot_seconds,
@@ -283,3 +314,47 @@ class OfflinePipeline:
         if cache is not None and digest is not None:
             cache.put("policy", digest, policy)
         return policy
+
+
+def trained_policy(
+    pipeline: OfflinePipeline,
+    training_trace: SolarTrace,
+    panel: Optional[SolarPanel] = None,
+    cache=None,
+) -> TrainedPolicy:
+    """:meth:`OfflinePipeline.run`, once per cache key per process.
+
+    The memo is keyed by :meth:`OfflinePipeline.cache_key`, so equal
+    configurations on equal training weather share one policy however
+    the caller built them.  It sits in front of ``cache`` (the disk
+    layer): a miss runs the pipeline, which reads and writes ``cache``
+    as usual, so passing ``cache=None`` still means no disk reads or
+    writes.
+    """
+    key = pipeline.cache_key(training_trace, panel)
+    policy = _POLICIES.get(key)
+    if policy is None:
+        policy = pipeline.run(training_trace, panel, cache=cache)
+        _POLICIES[key] = policy
+    return policy
+
+
+def memo_trace(timeline: Timeline, seed: int) -> SolarTrace:
+    """``synthetic_trace(timeline, seed)``, once per process.
+
+    The shared trace's ``power`` array is read-only: a caller that
+    mutates it raises instead of corrupting every later user.
+    """
+    key = (timeline, seed)
+    trace = _TRACES.get(key)
+    if trace is None:
+        trace = synthetic_trace(timeline, seed=seed)
+        trace.power.setflags(write=False)
+        _TRACES[key] = trace
+    return trace
+
+
+def clear_memos() -> None:
+    """Forget every memoised policy and trace of this process."""
+    _POLICIES.clear()
+    _TRACES.clear()

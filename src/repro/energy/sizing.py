@@ -25,6 +25,7 @@ __all__ = [
     "migration_series",
     "DayMigrationResult",
     "simulate_day_migration",
+    "migration_grid",
     "optimal_daily_capacity",
     "cluster_capacities",
     "size_bank",
@@ -134,6 +135,117 @@ def simulate_day_migration(
     )
 
 
+def _migrate_rows(
+    capacitors: Sequence[SuperCapacitor],
+    days: np.ndarray,
+    slot_seconds: float,
+) -> List[List[DayMigrationResult]]:
+    """Every equal-length day through every capacitor in one array pass.
+
+    Row ``j * n_days + d`` runs day ``d`` through ``capacitors[j]`` on
+    the shared row kernel; each row replays
+    :func:`simulate_day_migration` bit for bit (same slot-start
+    ``eta_before``, same per-book operation order).  Returns
+    ``results[d][j]``.
+    """
+    # Imported on first use: ``repro.cli`` imports this module, and
+    # only training needs the kernel.
+    from .kernel import BankRows
+
+    n_days, n_slots = days.shape
+    rows = [cap for cap in capacitors for _ in range(n_days)]
+    bank = BankRows([[cap] for cap in rows], [0] * len(rows))
+    # Slot-major: delta[s] is every row's ΔE at slot s, contiguous.
+    delta = np.ascontiguousarray(np.tile(days, (len(capacitors), 1)).T)
+    surplus_at, deficit_at = delta > 0, delta < 0
+    any_surplus = surplus_at.any(axis=1).tolist()
+    any_deficit = deficit_at.any(axis=1).tolist()
+    v = bank.v0.copy()
+    zeros = np.zeros(len(rows))
+    overflow, served, unserved, leakage = zeros, zeros, zeros, zeros
+    for s in range(n_slots):
+        de = delta[s]
+        if any_surplus[s]:
+            surplus = surplus_at[s]
+            eta_before = bank.charge_efficiency(v[:, 0])
+            stored = bank.charge(v, surplus, de)
+            consumed = stored / np.maximum(eta_before, 1e-9)
+            overflow = np.where(
+                surplus, overflow + np.maximum(de - consumed, 0.0), overflow
+            )
+        if any_deficit[s]:
+            deficit = deficit_at[s]
+            need = -de
+            got = bank.discharge(v, deficit, need)
+            served = np.where(deficit, served + got, served)
+            unserved = np.where(
+                deficit, unserved + np.maximum(need - got, 0.0), unserved
+            )
+        leakage = leakage + bank.leak(v, slot_seconds)
+
+    # Per-row closing books in scalar Python, as the reference does.
+    total_in = [float(day[day > 0].sum()) for day in days]
+    results: List[List[DayMigrationResult]] = [[] for _ in range(n_days)]
+    for r, cap in enumerate(rows):
+        d = r % n_days
+        volts = float(v[r, 0])
+        baseline = cap.energy_at(float(bank.v0[r, 0]))
+        residual = cap.energy_at(volts) - baseline
+        over, leak = float(overflow[r]), float(leakage[r])
+        got = float(served[r])
+        conversion = max(total_in[d] - over - leak - got - residual, 0.0)
+        results[d].append(
+            DayMigrationResult(
+                total_loss=conversion + leak + over,
+                conversion_loss=conversion,
+                leakage_loss=leak,
+                overflow_loss=over,
+                served=got,
+                unserved=float(unserved[r]),
+                final_voltage=volts,
+            )
+        )
+    return results
+
+
+def migration_grid(
+    capacitors: Sequence[SuperCapacitor],
+    daily_delta_e: Sequence[np.ndarray],
+    slot_seconds: float,
+) -> List[List[DayMigrationResult]]:
+    """:func:`simulate_day_migration` of every day through every capacitor.
+
+    ``results[d][j]`` is day ``d`` through ``capacitors[j]``, equal
+    field for field to the scalar call.  Days of one length share one
+    array pass (rows = capacitors x days); ragged days take one pass
+    per distinct length.
+    """
+    days = [np.asarray(de, dtype=float) for de in daily_delta_e]
+    results: List[List[DayMigrationResult]] = [[] for _ in days]
+    for length in sorted({len(de) for de in days}):
+        group = [d for d, de in enumerate(days) if len(de) == length]
+        stacked = np.array([days[d] for d in group]).reshape(
+            len(group), length
+        )
+        grid = _migrate_rows(capacitors, stacked, slot_seconds)
+        for d, row in zip(group, grid):
+            results[d] = row
+    return results
+
+
+def _best_candidate(
+    candidates: Sequence[float], results: Sequence[DayMigrationResult]
+) -> Tuple[float, DayMigrationResult]:
+    """Lowest-loss candidate among those within 5% of the best service."""
+    best_served = max(r.served for r in results)
+    tolerance = 0.05 * best_served if best_served > 0 else 0.0
+    viable = [
+        (c, r) for c, r in zip(candidates, results)
+        if r.served >= best_served - tolerance
+    ]
+    return min(viable, key=lambda item: item[1].total_loss)
+
+
 def optimal_daily_capacity(
     delta_e: np.ndarray,
     slot_seconds: float,
@@ -145,20 +257,22 @@ def optimal_daily_capacity(
     Candidates with worse *service* (energy actually delivered to
     deficit slots) are only preferred if no candidate serves more, so
     a tiny capacitor cannot win simply by storing (and thus losing)
-    nothing.
+    nothing.  Every candidate runs in one array pass
+    (:func:`migration_grid`).
     """
     if not candidates:
         raise ValueError("need at least one candidate capacitance")
-    results = []
-    for c in candidates:
-        cap = SuperCapacitor(capacitance=c, **capacitor_kwargs)
-        results.append((c, simulate_day_migration(cap, delta_e, slot_seconds)))
-    best_served = max(r.served for _, r in results)
-    tolerance = 0.05 * best_served if best_served > 0 else 0.0
-    viable = [
-        (c, r) for c, r in results if r.served >= best_served - tolerance
+    caps = [
+        SuperCapacitor(capacitance=c, **capacitor_kwargs) for c in candidates
     ]
-    return min(viable, key=lambda item: item[1].total_loss)
+    (results,) = migration_grid(caps, [delta_e], slot_seconds)
+    return _best_candidate(candidates, results)
+
+
+def _cluster_mean(values: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted mean of one cluster; unweighted when all its members
+    weigh zero (a cluster of dark days)."""
+    return np.average(values, weights=weights if weights.sum() > 0 else None)
 
 
 def cluster_capacities(
@@ -205,7 +319,7 @@ def cluster_capacities(
         for j in range(k):
             mask = assign == j
             if mask.any():
-                new_centres[j] = np.average(log_v[mask], weights=w[mask])
+                new_centres[j] = _cluster_mean(log_v[mask], w[mask])
         if np.allclose(new_centres, centres):
             break
         centres = new_centres
@@ -215,7 +329,7 @@ def cluster_capacities(
     for j in range(k):
         mask = assign == j
         if mask.any():
-            means.append(float(np.average(values[mask], weights=w[mask])))
+            means.append(float(_cluster_mean(values[mask], w[mask])))
     return sorted(means)
 
 
@@ -227,12 +341,19 @@ def size_bank(
     daily_weights: Optional[Sequence[float]] = None,
     **capacitor_kwargs,
 ) -> List[SuperCapacitor]:
-    """Full Section 4.1 pipeline: per-day optima → clustered bank."""
+    """Full Section 4.1 pipeline: per-day optima → clustered bank.
+
+    Every (candidate, day) pair runs in one array pass
+    (:func:`migration_grid`).
+    """
+    if not candidates:
+        raise ValueError("need at least one candidate capacitance")
+    caps = [
+        SuperCapacitor(capacitance=c, **capacitor_kwargs) for c in candidates
+    ]
     optima = [
-        optimal_daily_capacity(
-            de, slot_seconds, candidates, **capacitor_kwargs
-        )[0]
-        for de in daily_delta_e
+        _best_candidate(candidates, results)[0]
+        for results in migration_grid(caps, daily_delta_e, slot_seconds)
     ]
     weights = daily_weights
     if weights is None:

@@ -23,6 +23,7 @@ from ..core import (
     TrainedPolicy,
     trace_period_matrix,
 )
+from ..core.offline import memo_trace, trained_policy
 from ..obs import Observer, build_manifest
 from ..obs.trace import current_tracer
 from ..perf.cache import cache_enabled, default_cache
@@ -31,12 +32,7 @@ from ..reliability.supervisor import SupervisorPolicy, supervised_traced_map
 from ..schedulers import InterTaskScheduler, IntraTaskScheduler, Scheduler
 from ..sim.engine import simulate
 from ..sim.recorder import SimulationResult
-from ..solar import (
-    FOUR_DAYS,
-    SolarTrace,
-    archetype_trace,
-    synthetic_trace,
-)
+from ..solar import FOUR_DAYS, SolarTrace, archetype_trace
 from ..tasks.graph import TaskGraph
 from ..timeline import Timeline
 
@@ -64,7 +60,6 @@ TRAIN_DAYS = 12
 
 STANDARD_SCHEDULERS = ("inter-task", "intra-task", "proposed", "optimal")
 
-_policy_cache: Dict[Tuple, TrainedPolicy] = {}
 _sizing_cache: Dict[Tuple, Tuple] = {}
 
 
@@ -121,10 +116,8 @@ def training_trace(num_days: int = TRAIN_DAYS, seed: int = TRAIN_SEED) -> SolarT
     that the stochastic chain rarely reaches.
     """
     if num_days <= len(FOUR_DAYS):
-        return synthetic_trace(default_timeline(num_days), seed=seed)
-    synth = synthetic_trace(
-        default_timeline(num_days - len(FOUR_DAYS)), seed=seed
-    )
+        return memo_trace(default_timeline(num_days), seed)
+    synth = memo_trace(default_timeline(num_days - len(FOUR_DAYS)), seed)
     extremes = archetype_trace(
         default_timeline(len(FOUR_DAYS)), FOUR_DAYS, seed=seed + 1
     )
@@ -142,28 +135,25 @@ def train_policy(
 ) -> TrainedPolicy:
     """Cached offline pipeline run for one benchmark.
 
-    Two cache layers: an in-process memo keyed by the parameter tuple
-    (so one session never trains the same configuration twice), then
-    the content-addressed disk cache of :mod:`repro.perf.cache` (so
-    separate invocations don't either).  ``use_cache`` overrides the
-    ``REPRO_NO_CACHE`` environment default for the disk layer; the
-    in-process memo is always on.
+    Two cache layers: the process-local trained-policy memo
+    (:func:`~repro.core.offline.trained_policy`, so one session never
+    trains the same configuration twice), then the content-addressed
+    disk cache of :mod:`repro.perf.cache` (so separate invocations
+    don't either).  ``use_cache`` overrides the ``REPRO_NO_CACHE``
+    environment default for the disk layer; the in-process memo is
+    always on.
     """
-    key = (graph.name, num_capacitors, train_days, seed, finetune_epochs)
-    policy = _policy_cache.get(key)
-    if policy is None:
-        pipe = OfflinePipeline(
-            graph,
-            num_capacitors=num_capacitors,
-            finetune_epochs=finetune_epochs,
-        )
-        disk = use_cache if use_cache is not None else cache_enabled()
-        policy = pipe.run(
-            training_trace(train_days, seed),
-            cache=default_cache() if disk else None,
-        )
-        _policy_cache[key] = policy
-    return policy
+    pipe = OfflinePipeline(
+        graph,
+        num_capacitors=num_capacitors,
+        finetune_epochs=finetune_epochs,
+    )
+    disk = use_cache if use_cache is not None else cache_enabled()
+    return trained_policy(
+        pipe,
+        training_trace(train_days, seed),
+        cache=default_cache() if disk else None,
+    )
 
 
 def sized_capacitors(
@@ -172,25 +162,18 @@ def sized_capacitors(
     train_days: int = TRAIN_DAYS,
     seed: int = TRAIN_SEED,
 ) -> Tuple:
-    """Section 4.1 sizing only, memoized like :func:`train_policy`.
+    """Section 4.1 sizing only, memoized per process.
 
     Figures that only need the sized bank (e.g. the capacitor-count
-    sweep) used to re-run the sizing step on every invocation; this
-    memoizes it per process and reuses the bank of an already trained
-    policy for the same configuration when one exists.
+    sweep) skip the long-term DP and DBN training.
     """
     key = (graph.name, num_capacitors, train_days, seed)
     capacitors = _sizing_cache.get(key)
     if capacitors is None:
-        for (g, h, d, s, _epochs), policy in _policy_cache.items():
-            if (g, h, d, s) == key:
-                capacitors = policy.capacitors
-                break
-        else:
-            pipe = OfflinePipeline(graph, num_capacitors=num_capacitors)
-            capacitors = tuple(
-                pipe.size_capacitors(training_trace(train_days, seed))
-            )
+        pipe = OfflinePipeline(graph, num_capacitors=num_capacitors)
+        capacitors = tuple(
+            pipe.size_capacitors(training_trace(train_days, seed))
+        )
         _sizing_cache[key] = capacitors
     return capacitors
 
@@ -239,7 +222,9 @@ def evaluation_suite(
     ``inter-task`` and ``intra-task`` are the prior-work baselines,
     ``proposed`` the DBN-based online scheduler, ``optimal`` the static
     upper bound computed on the true trace.  An ``observer`` (shared
-    across the runs) traces every simulation.
+    across the runs) traces every simulation.  An ``include`` key
+    outside :data:`STANDARD_SCHEDULERS` raises ``ValueError`` before
+    any policy is trained.
 
     ``n_workers`` (or ``$REPRO_WORKERS``) fans the schedulers out over
     a *supervised* process pool (transient worker failures are retried
@@ -250,6 +235,12 @@ def evaluation_suite(
     silently skew the paper's comparison tables.  Observed runs stay
     serial — sinks hold file handles that cannot cross processes.
     """
+    for name in include:
+        if name not in STANDARD_SCHEDULERS:
+            raise ValueError(
+                f"unknown scheduler key {name!r}; expected one of "
+                f"{STANDARD_SCHEDULERS}"
+            )
     policy = policy or train_policy(graph)
     workers = resolve_workers(n_workers)
     tracer = current_tracer()

@@ -19,6 +19,8 @@ Two layers of reuse ride on the existing artifact cache:
 - *shared offline stages* (kind ``policy``): when the ``proposed``
   policy is in the pool, the DBN pipeline trains once per distinct
   workload and every node with that workload loads the artifact.
+  In front of it, the process-local trained-policy memo means a
+  ``--no-cache`` fleet also trains once per workload per process.
 
 Determinism contract: node summaries are pure functions of ``(fleet
 seed, node id)``; shards are combined in node-id order; therefore
@@ -140,33 +142,34 @@ def _make_scheduler(policy: str, scheduler_seed: int):
 
 
 def _proposed_policy(fleet: FleetSpec, graph_kind: str):
-    """Train (or cache-load) the paper's pipeline for one workload.
+    """Train the paper's pipeline for one workload, once per process.
 
-    The training budget is the fleet's small ``proposed_*`` knobs; the
-    artifact is shared through the ``policy`` disk cache, so a fleet
-    with 50 ``proposed``/``wam`` nodes trains once, not 50 times.
+    The training budget is the fleet's small ``proposed_*`` knobs.  The
+    trained-policy memo (:func:`~repro.core.offline.trained_policy`)
+    serves every later node of the workload in this process, with or
+    without ``--no-cache``; the ``policy`` disk cache, when enabled,
+    shares the artifact across processes and runs as well.
     """
-    from ..core.offline import OfflinePipeline
-    from ..solar.days import synthetic_trace
+    from ..core.offline import OfflinePipeline, memo_trace, trained_policy
     from ..timeline import Timeline
 
-    graph = build_graph(graph_kind)
     train_tl = Timeline(
         num_days=fleet.proposed_train_days,
         periods_per_day=fleet.periods_per_day,
         slots_per_period=fleet.slots_per_period,
         slot_seconds=fleet.slot_seconds,
     )
-    train_trace = synthetic_trace(train_tl, seed=fleet.seed)
     pipeline = OfflinePipeline(
-        graph,
+        build_graph(graph_kind),
         pretrain_epochs=fleet.proposed_epochs,
         finetune_epochs=fleet.proposed_epochs,
         augment_per_period=1,
         seed=fleet.seed,
     )
     cache = default_cache() if cache_enabled() else None
-    return pipeline.run(train_trace, cache=cache)
+    return trained_policy(
+        pipeline, memo_trace(train_tl, fleet.seed), cache=cache
+    )
 
 
 def _summarize(spec: NodeSpec, graph, result) -> NodeSummary:
@@ -298,8 +301,9 @@ def node_spec_digest(spec: NodeSpec) -> str:
 def _run_shard(item):
     """Worker entry point: simulate one shard of node ids, supervised.
 
-    Module-level (picklable) on purpose; rebuilds the shared base trace
-    once per shard rather than shipping the power array per item.
+    Module-level (picklable) on purpose; takes the shared base trace
+    from the worker's per-process memo rather than shipping the power
+    array per item.
 
     The work item is ``(spec, node_ids, shard_index, ctx_wire,
     chaos_plan, node_retries, on_node_error, engine, attempt)``:

@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..solar.days import synthetic_trace
+from ..core.offline import memo_trace
 from ..solar.trace import SolarTrace
 from ..timeline import Timeline
 from ..verify.strategies import (
@@ -106,7 +106,8 @@ class FleetSpec:
         cloud-jitter sigma.
     proposed_train_days, proposed_epochs:
         Offline-stage budget used when ``proposed`` is in the policy
-        pool (kept small; artifacts are shared through the disk cache).
+        pool (kept small; each process trains a workload once, and
+        the disk cache, when enabled, shares artifacts across runs).
     """
 
     n_nodes: int
@@ -160,8 +161,12 @@ class FleetSpec:
         )
 
     def base_trace(self) -> SolarTrace:
-        """The shared deployment-site weather (seeded by the fleet)."""
-        return synthetic_trace(self.timeline(), seed=self.seed)
+        """The shared deployment-site weather (seeded by the fleet).
+
+        Synthesised once per process (:func:`~repro.core.offline.memo_trace`)
+        and read-only, so every shard a worker runs shares one copy.
+        """
+        return memo_trace(self.timeline(), self.seed)
 
     def describe(self) -> Dict[str, object]:
         """Canonical dict of every field (cache/checkpoint keying)."""

@@ -28,17 +28,11 @@ byte-for-byte.  The layout decisions that make this work:
   columns, adding a masked ``0.0`` where a node did not choose the
   task — exact, because ``x + 0.0`` is ``x`` for every non-negative
   ``x``.
-* **Python pow where the scalar engine uses it.**  numpy's pow ufunc
-  is not bit-identical to libm's ``**`` on some platforms; the leakage
-  voltage power keeps the per-element Python ``**`` exactly like
-  :meth:`~repro.energy.bank.CapacitorBank.leak_all`.  The regulator
-  curves go through the same ``np.power`` ufunc in both scalar and
-  array form (see :class:`~repro.energy.regulator.RegulatorCurve`), so
-  they vectorize directly.
-* **Masked physics recurrences.**  Charge/discharge keep the 4-substep
-  voltage recurrence of :class:`~repro.energy.capacitor.CapacitorState`
-  with an ``alive`` mask standing in for the scalar ``break``; rows
-  that stop updating never resurrect, matching break semantics.
+* **One capacitor kernel.**  Charge, discharge and leak run through
+  :class:`~repro.energy.kernel.BankRows` with one row per node — the
+  same row kernel capacitor sizing uses — which replays
+  :class:`~repro.energy.capacitor.CapacitorState` elementwise (masked
+  4-substep recurrences, Python ``**`` for the leakage power).
 * **Per-node Python only off the hot path.**  WCMA prediction and
   energy admission (inter-task rows) run per node once per *period*;
   the ``random`` policy keeps its per-node ``Generator`` draw loop so
@@ -68,6 +62,7 @@ from typing import (
 import numpy as np
 
 from ..energy.capacitor import SuperCapacitor
+from ..energy.kernel import BankRows, device_leak_row
 from ..schedulers.lsa import admit_by_energy
 from ..solar.prediction import WCMAPredictor
 from ..solar.trace import SolarTrace
@@ -150,17 +145,11 @@ def batch_ineligibility(
     return None
 
 
-def _node_leak_row(
-    node_index: int, devices: Sequence[SuperCapacitor]
-) -> List[float]:
-    """Per-capacitor ``leak_coeff * C`` products of one node's bank.
-
-    Split out (rather than inlined into the constants setup) so the
-    conformance suite can plant a deliberate corruption in a single
-    node's leakage row and prove the batched-vs-per-node oracle
-    pinpoints that node.
-    """
-    return [d.leak_coeff * d.capacitance for d in devices]
+#: Leakage-row hook of the batch's :class:`BankRows`, looked up when a
+#: batch is built, so the conformance suite can plant a deliberate
+#: corruption in a single node's leakage row and prove the
+#: batched-vs-per-node oracle pinpoints that node.
+_node_leak_row = device_leak_row
 
 
 def simulate_batch(cases: Sequence[BatchCase]) -> Sequence[SimulationResult]:
@@ -445,69 +434,18 @@ class _BatchEngine:
         Baseline policies pin the largest capacitor at the first period
         and never switch (``StaticLargestCapacitorMixin``); the random
         policy never selects at all.  Either way the active index is a
-        per-node constant, so charge/discharge touch one static column.
+        per-node constant, so charge/discharge touch one static column
+        of the shared row kernel (:class:`~repro.energy.kernel.BankRows`).
         """
-        n = self.n
         banks = [list(case.capacitors) for case in self.cases]
         self.c_ns = [len(b) for b in banks]
-        c_max = max(self.c_ns)
-        self.c_max = c_max
-        self.cap_valid = np.zeros((n, c_max), dtype=bool)
-        # Padded columns get capacitance 1 / zero volts / zero leak:
-        # their leak update is exactly 0 -> 0 and costs nothing.
-        self.capacitance = np.ones((n, c_max))
-        self.v0 = np.zeros((n, c_max))
-        self.leak_coeff_cap = np.zeros((n, c_max))
-        self.parasitic = np.zeros((n, c_max))
-        self.full_energy = np.ones((n, c_max))
-        self.exps_flat: List[float] = []
-        active = np.zeros(n, dtype=np.int64)
-        for row, devices in enumerate(banks):
-            c_n = self.c_ns[row]
-            self.cap_valid[row, :c_n] = True
-            self.capacitance[row, :c_n] = [d.capacitance for d in devices]
-            self.v0[row, :c_n] = [d.v_cutoff for d in devices]
-            self.leak_coeff_cap[row, :c_n] = _node_leak_row(row, devices)
-            self.parasitic[row, :c_n] = [
-                d.parasitic_power for d in devices
-            ]
-            self.full_energy[row, :c_n] = [
-                0.5 * d.capacitance * d.v_full * d.v_full for d in devices
-            ]
-            self.exps_flat.extend(d.leak_exponent for d in devices)
-            self.exps_flat.extend(1.0 for _ in range(c_max - c_n))
-            if self.cases[row].policy != "random":
-                caps = np.array([d.capacitance for d in devices])
-                active[row] = int(caps.argmax())
-        self.active_col = active
-        rows = self._rows
-        devs = [banks[i][active[i]] for i in range(n)]
-        self.c_a = self.capacitance[rows, active]
-        self.e_full_a = self.full_energy[rows, active]
-        self.e_cutoff_a = np.array(
-            [0.5 * d.capacitance * d.v_cutoff * d.v_cutoff for d in devs]
-        )
-        self.v_stop_chg = np.array([d.v_full - 1e-12 for d in devs])
-        self.v_stop_dis = np.array([d.v_cutoff + 1e-12 for d in devs])
-        self.cyc_a = np.array([d.cycle_efficiency for d in devs])
-        self.in_eta_a = np.array(
-            [d.input_regulator.eta_max for d in devs]
-        )
-        self.in_exp_a = np.array(
-            [d.input_regulator.exponent for d in devs]
-        )
-        self.in_vh_a = np.array(
-            [d.input_regulator._vhalf_pow for d in devs]
-        )
-        self.out_eta_a = np.array(
-            [d.output_regulator.eta_max for d in devs]
-        )
-        self.out_exp_a = np.array(
-            [d.output_regulator.exponent for d in devs]
-        )
-        self.out_vh_a = np.array(
-            [d.output_regulator._vhalf_pow for d in devs]
-        )
+        active = [
+            0
+            if case.policy == "random"
+            else int(np.array([d.capacitance for d in devices]).argmax())
+            for case, devices in zip(self.cases, banks)
+        ]
+        self.bank = BankRows(banks, active, leak_row=_node_leak_row)
 
     def _setup_policies(self) -> None:
         """Policy row groups plus the intra-task subset table."""
@@ -569,113 +507,6 @@ class _BatchEngine:
         }
 
     # ------------------------------------------------------------------
-    # Masked bank physics (active column only)
-    # ------------------------------------------------------------------
-    def _charge(
-        self, v: np.ndarray, mask: np.ndarray, energy_in: np.ndarray
-    ) -> np.ndarray:
-        """Masked CapacitorState.charge on the active column of ``v``.
-
-        Returns the stored energy per node (0 outside ``mask``).
-        """
-        rows, a = self._rows, self.active_col
-        c = self.c_a
-        v_col = v[rows, a]
-        energy = 0.5 * c * v_col * v_col
-        stored_total = np.zeros(self.n)
-        chunk = energy_in / 4
-        for _ in range(4):
-            alive = mask & (v_col < self.v_stop_chg)
-            if not alive.any():
-                break
-            vp = v_col ** self.in_exp_a
-            eta = (self.in_eta_a * vp / (vp + self.in_vh_a)) * self.cyc_a
-            headroom = np.maximum(self.e_full_a - energy, 0.0)
-            stored = np.minimum(chunk * eta, headroom)
-            new_energy = np.minimum(
-                np.maximum(energy + stored, 0.0), self.e_full_a
-            )
-            v_new = np.sqrt(2.0 * new_energy / c)
-            e_new = 0.5 * c * v_new * v_new
-            v_col = np.where(alive, v_new, v_col)
-            energy = np.where(alive, e_new, energy)
-            stored_total = np.where(
-                alive, stored_total + stored, stored_total
-            )
-        v[rows, a] = v_col
-        return stored_total
-
-    def _discharge(
-        self, v: np.ndarray, mask: np.ndarray, energy_needed: np.ndarray
-    ) -> np.ndarray:
-        """Masked CapacitorState.discharge on the active column.
-
-        Returns the delivered energy per node (0 outside ``mask``).
-        A row that hits the cut-off stops updating for the remaining
-        substeps — the masked equivalent of the scalar ``break``.
-        """
-        rows, a = self._rows, self.active_col
-        c = self.c_a
-        v_col = v[rows, a]
-        energy = 0.5 * c * v_col * v_col
-        delivered_total = np.zeros(self.n)
-        chunk = energy_needed / 4
-        for _ in range(4):
-            alive = mask & (v_col > self.v_stop_dis)
-            if not alive.any():
-                break
-            vp = v_col ** self.out_exp_a
-            eta = (self.out_eta_a * vp / (vp + self.out_vh_a)) * self.cyc_a
-            alive = alive & (eta > 0.0)
-            usable = np.maximum(energy - self.e_cutoff_a, 0.0)
-            drawn = np.minimum(
-                chunk / np.where(eta > 0.0, eta, 1.0), usable
-            )
-            delivered = drawn * eta
-            new_energy = np.minimum(
-                np.maximum(energy - drawn, 0.0), self.e_full_a
-            )
-            v_new = np.sqrt(2.0 * new_energy / c)
-            e_new = 0.5 * c * v_new * v_new
-            v_col = np.where(alive, v_new, v_col)
-            energy = np.where(alive, e_new, energy)
-            delivered_total = np.where(
-                alive, delivered_total + delivered, delivered_total
-            )
-        v[rows, a] = v_col
-        return delivered_total
-
-    def _leak(self, v: np.ndarray, dt: float) -> np.ndarray:
-        """CapacitorBank.leak_all over every row; returns lost energy.
-
-        The voltage power term stays per-element Python ``**`` (same
-        reason as leak_all); everything else is the identical
-        elementwise expression.  Padded columns hold 0 V / zero leak
-        constants, so their contribution is exactly ``+0.0`` and the
-        per-column accumulation matches the scalar per-capacitor sum.
-        """
-        rows, a = self._rows, self.active_col
-        volts = v.ravel().tolist()
-        powv = np.array(
-            [vv ** e for vv, e in zip(volts, self.exps_flat)]
-        ).reshape(v.shape)
-        leak_power = self.leak_coeff_cap * powv + self.parasitic
-        before = 0.5 * self.capacitance * v * v
-        idle_power = np.maximum(leak_power - self.parasitic, 0.0)
-        new_energy = np.maximum(before - idle_power * dt, 0.0)
-        e_a = before[rows, a] - leak_power[rows, a] * dt
-        e_a = np.minimum(np.maximum(e_a, 0.0), self.e_full_a)
-        new_energy[rows, a] = e_a
-        new_volts = np.sqrt(2.0 * new_energy / self.capacitance)
-        after = 0.5 * self.capacitance * new_volts * new_volts
-        diffs = before - after
-        v[:] = new_volts
-        lost = np.zeros(self.n)
-        for col in range(self.c_max):
-            lost = lost + diffs[:, col]
-        return lost
-
-    # ------------------------------------------------------------------
     def run(self) -> "BatchResults":
         tl = self.tl
         n, t_max, k_max = self.n, self.t_max, self.k_max
@@ -689,7 +520,8 @@ class _BatchEngine:
         has_intra = self.idx_intra.size > 0
         has_random = self.idx_random.size > 0
 
-        v = self.v0.copy()
+        bank = self.bank
+        v = bank.v0.copy()
         powered = np.ones((n, k_max), dtype=bool)
         # Admission filter: everything admitted except what the LSA
         # rows restrict per period (cold-start admits the full set).
@@ -699,7 +531,7 @@ class _BatchEngine:
             [_SCHEDULER_NAMES[case.policy] for case in self.cases],
             self.t_ns,
             self.c_ns,
-            self.active_col.tolist(),
+            bank.active.tolist(),
         )
 
         for flat_p in range(tl.total_periods):
@@ -839,7 +671,7 @@ class _BatchEngine:
                 b2 = ~b1 & (usable_solar >= load)
                 b3 = ~(b1 | b2)
                 needed = (load - usable_solar) * dt
-                delivered = self._discharge(v, b3, needed)
+                delivered = bank.discharge(v, b3, needed)
                 fraction = np.minimum(
                     delivered / np.where(b3, needed, 1.0), 1.0
                 )
@@ -856,7 +688,7 @@ class _BatchEngine:
                 # below-v_stop sqrt round-trip must still happen);
                 # branch 3 charges only when idle surplus is positive.
                 do_charge = b1 | b2 | (b3 & (offered_idle > 0.0))
-                charged = self._charge(v, do_charge, energy_in)
+                charged = bank.charge(v, do_charge, energy_in)
                 direct = np.where(
                     b1,
                     0.0,
@@ -895,10 +727,10 @@ class _BatchEngine:
                 cycle_cost = self._cycle_table[n_changed]
                 cmask = cycle_cost > 0.0
                 if cmask.any():
-                    self._discharge(v, cmask, cycle_cost)
+                    bank.discharge(v, cmask, cycle_cost)
                 brownouts += brown
 
-                lost = self._leak(v, dt)
+                lost = bank.leak(v, dt)
 
                 solar_e = solar_e + solar_vec * dt
                 load_e = load_e + (direct + storage)
@@ -938,10 +770,10 @@ class _BatchEngine:
         real predictor and admission code run unchanged — their float
         sequences are part of the bit-identity contract.
         """
-        rows, a = self._rows, self.active_col
-        v_a = v[rows, a]
-        stored_a = 0.5 * self.c_a * v_a * v_a
-        usable_a = np.maximum(stored_a - self.e_cutoff_a, 0.0)
+        bank = self.bank
+        v_a = v[bank.rows, bank.active]
+        stored_a = 0.5 * bank.c * v_a * v_a
+        usable_a = np.maximum(stored_a - bank.e_cutoff, 0.0)
         for i in self.idx_lsa:
             i = int(i)
             predicted = self.predictors[i].predict(day, period)

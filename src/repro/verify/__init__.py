@@ -7,7 +7,8 @@ Three independent lines of defence against a silently wrong engine:
   DMR bookkeeping, brownout discipline, slot legality);
 * :mod:`repro.verify.oracles` — two implementations, one answer
   (scalar vs vectorized bank, LUT lookup vs exhaustive scan, DP plan
-  vs brute force, checkpoint-resume vs straight-through, committed
+  vs brute force, checkpoint-resume vs straight-through, batched vs
+  per-node engine, array vs scalar capacitor sizing, committed
   reference fingerprints);
 * :mod:`repro.verify.metamorphic` — how outputs must move when inputs
   move (more sun never hurts, more capacity never hurts, permuting
@@ -38,8 +39,10 @@ from .oracles import (
     oracle_plan_vs_bruteforce,
     oracle_reference_fingerprints,
     oracle_scalar_vs_vectorized,
+    oracle_sizing_vs_scalar,
     reference_run_specs,
     scalar_reference_node,
+    sizing_edge_days,
     write_reference_fingerprints,
 )
 from .report import CheckOutcome, VerificationReport, Violation
@@ -62,6 +65,8 @@ __all__ = [
     "oracle_plan_vs_bruteforce",
     "oracle_checkpoint_resume",
     "oracle_reference_fingerprints",
+    "oracle_sizing_vs_scalar",
+    "sizing_edge_days",
     "BRUTEFORCE_INSTANCES",
     "reference_run_specs",
     "capture_reference_fingerprints",

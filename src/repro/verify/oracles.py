@@ -1,6 +1,6 @@
 """Differential oracles: two independent routes to the same answer.
 
-Five oracles, each pitting the production implementation against a
+Six oracles, each pitting the production implementation against a
 slower but obviously-correct reference:
 
 ``scalar-vs-vectorized``
@@ -27,6 +27,13 @@ slower but obviously-correct reference:
     (:mod:`repro.sim.batch`) and through one scalar engine per node;
     every :class:`~repro.fleet.result.NodeSummary` — fingerprint
     included — must match bit for bit.
+``sizing-vs-scalar``
+    Capacitor sizing's one array pass over (candidate, day) rows
+    (:func:`~repro.energy.sizing.migration_grid` on the shared row
+    kernel) against one scalar
+    :func:`~repro.energy.sizing.simulate_day_migration` per pair:
+    every :class:`~repro.energy.sizing.DayMigrationResult` field and
+    the sized bank must match bit for bit.
 
 The module also owns the *reference fingerprint* capture: the 4
 canonical solar days and 7 seeded runtime fault scenarios whose result
@@ -50,6 +57,14 @@ from ..core import DPConfig, LongTermOptimizer, StaticOptimalScheduler
 from ..core.lut import LookupTable
 from ..energy.bank import CapacitorBank
 from ..energy.capacitor import SuperCapacitor
+from ..energy.sizing import (
+    DEFAULT_CANDIDATES,
+    _best_candidate,
+    cluster_capacities,
+    migration_grid,
+    simulate_day_migration,
+    size_bank,
+)
 from ..node.node import SensorNode
 from ..reliability import RUNTIME_SCENARIOS, FaultInjector, runtime_scenario
 from ..schedulers import (
@@ -80,6 +95,8 @@ __all__ = [
     "oracle_plan_vs_bruteforce",
     "oracle_checkpoint_resume",
     "oracle_batch_vs_per_node",
+    "oracle_sizing_vs_scalar",
+    "sizing_edge_days",
     "reference_run_specs",
     "capture_reference_fingerprints",
     "write_reference_fingerprints",
@@ -616,6 +633,121 @@ def oracle_batch_vs_per_node(
                         f: getattr(want, f) for f in fields
                     },
                 },
+            )
+        )
+    return out
+
+
+# ----------------------------------------------------------------------
+# Capacitor sizing: one array pass vs one scalar day at a time
+# ----------------------------------------------------------------------
+def sizing_edge_days(n_slots: int = 48, seed: int = 0) -> List[np.ndarray]:
+    """``ΔE`` days (joules per slot) at the edges of the sizing physics.
+
+    All-surplus, all-deficit, all-zero and capacitor-filling days, a
+    day that fills and then drains, and one seeded mixed day.
+    """
+    rng = np.random.default_rng(seed)
+    half = n_slots // 2
+    return [
+        rng.uniform(0.1, 20.0, n_slots),
+        -rng.uniform(0.1, 20.0, n_slots),
+        np.zeros(n_slots),
+        np.full(n_slots, 1.0e4),
+        np.concatenate([np.full(half, 80.0), np.full(n_slots - half, -30.0)]),
+        rng.uniform(-40.0, 40.0, n_slots),
+    ]
+
+
+def _sized_by_scalar(
+    days: Sequence[np.ndarray],
+    slot_seconds: float,
+    candidates: Sequence[float],
+    num_capacitors: int,
+    weights: Optional[Sequence[float]],
+) -> List[float]:
+    """:func:`~repro.energy.sizing.size_bank` capacities, one scalar
+    day simulation per (candidate, day)."""
+    caps = [SuperCapacitor(capacitance=c) for c in candidates]
+    optima = [
+        _best_candidate(
+            candidates,
+            [simulate_day_migration(cap, de, slot_seconds) for cap in caps],
+        )[0]
+        for de in days
+    ]
+    if weights is None:
+        weights = [float(np.abs(de).sum()) for de in days]
+        if sum(weights) <= 0:
+            weights = None
+    return cluster_capacities(
+        optima, weights=weights, num_clusters=num_capacitors
+    )
+
+
+def oracle_sizing_vs_scalar(
+    days: Sequence[np.ndarray],
+    slot_seconds: float = 30.0,
+    candidates: Sequence[float] = DEFAULT_CANDIDATES,
+    num_capacitors: int = 4,
+    weights: Optional[Sequence[float]] = None,
+    label: str = "",
+) -> CheckOutcome:
+    """Sizing's array pass against the scalar day simulation.
+
+    Every (day, candidate) :class:`~repro.energy.sizing.DayMigrationResult`
+    of :func:`~repro.energy.sizing.migration_grid` must equal the
+    scalar :func:`~repro.energy.sizing.simulate_day_migration` field
+    for field, bit for bit (``float.hex``); one Violation per
+    offending pair names the day, the capacitance and the fields.
+    The bank :func:`~repro.energy.sizing.size_bank` returns must equal
+    the one built from the scalar results.
+    """
+    out = CheckOutcome(name="oracle/sizing-vs-scalar", subject=label)
+    caps = [SuperCapacitor(capacitance=c) for c in candidates]
+    grid = migration_grid(caps, days, slot_seconds)
+    for d, de in enumerate(days):
+        for cap, got in zip(caps, grid[d]):
+            want = simulate_day_migration(cap, de, slot_seconds)
+            out.checked += 1
+            fields = [
+                f for f in want.__dataclass_fields__
+                if float(getattr(got, f)).hex()
+                != float(getattr(want, f)).hex()
+            ]
+            if fields:
+                out.violations.append(
+                    Violation(
+                        check=out.name,
+                        message=(
+                            f"array sizing diverged from the scalar day "
+                            f"simulation on day {d}, {cap.capacitance:g} F"
+                        ),
+                        details={
+                            "day": d,
+                            "capacitance": cap.capacitance,
+                            "differing_fields": fields,
+                            "array": {f: getattr(got, f) for f in fields},
+                            "scalar": {f: getattr(want, f) for f in fields},
+                        },
+                    )
+                )
+    bank = [
+        c.capacitance
+        for c in size_bank(
+            days, slot_seconds, num_capacitors, candidates, weights
+        )
+    ]
+    want_bank = _sized_by_scalar(
+        days, slot_seconds, candidates, num_capacitors, weights
+    )
+    out.checked += 1
+    if [c.hex() for c in bank] != [c.hex() for c in want_bank]:
+        out.violations.append(
+            Violation(
+                check=out.name,
+                message="size_bank diverged from the scalar sizing",
+                details={"array": bank, "scalar": want_bank},
             )
         )
     return out

@@ -26,6 +26,7 @@ import numpy as np
 
 from .. import quick_node
 from ..core.lut import LookupTable
+from ..core.offline import OfflinePipeline
 from ..energy.capacitor import SuperCapacitor
 from ..obs import Observer
 from ..obs.sinks import RingBufferSink
@@ -50,10 +51,12 @@ from .oracles import (
     oracle_plan_vs_bruteforce,
     oracle_reference_fingerprints,
     oracle_scalar_vs_vectorized,
+    oracle_sizing_vs_scalar,
     reference_run_specs,
+    sizing_edge_days,
 )
 from .report import CheckOutcome, VerificationReport
-from .strategies import random_trace, tiny_env, tiny_timeline
+from .strategies import build_graph, random_trace, tiny_env, tiny_timeline
 
 __all__ = ["LEVELS", "run_verification", "verified_simulation"]
 
@@ -242,6 +245,26 @@ def run_verification(
                     label=f"fleet-{fleet_nodes}",
                 )
             )
+
+            log("oracle: array sizing vs scalar day simulation")
+            report.add(
+                oracle_sizing_vs_scalar(
+                    sizing_edge_days(seed=seed), label="edge-days"
+                )
+            )
+            if level != "smoke":
+                sizing_trace = synthetic_trace(
+                    tiny_timeline(periods_per_day=24, num_days=2), seed=seed
+                )
+                for kind in ("wam", "ecg", "shm"):
+                    days, weights = OfflinePipeline(
+                        build_graph(kind)
+                    ).daily_migration(sizing_trace)
+                    report.add(
+                        oracle_sizing_vs_scalar(
+                            days, weights=weights, label=f"{kind}/2-days"
+                        )
+                    )
 
         # ---- metamorphic relations ----
         with tracer.span("verify_metamorphic"):

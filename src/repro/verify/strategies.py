@@ -38,6 +38,7 @@ __all__ = [
     "task_graphs",
     "solar_days",
     "capacitor_banks",
+    "migration_days",
     "fault_plans",
     "engine_setups",
 ]
@@ -267,6 +268,29 @@ def capacitor_banks(max_size: int = 4):
         min_size=1,
         max_size=max_size,
     ).map(lambda farads: tuple(SuperCapacitor(capacitance=c) for c in farads))
+
+
+def migration_days(max_slots: int = 40):
+    """One day's ``ΔE`` series (joules per slot) for capacitor sizing.
+
+    Mixed surplus/deficit days plus the edges of the physics:
+    all-surplus, all-deficit, all-zero and capacitor-filling days.
+    """
+    st = _st()
+    lengths = st.integers(1, max_slots)
+
+    def days_of(values):
+        return lengths.flatmap(
+            lambda n: st.lists(values, min_size=n, max_size=n)
+        )
+
+    return st.one_of(
+        days_of(st.floats(-60.0, 60.0)),
+        days_of(st.floats(1e-3, 60.0)),
+        days_of(st.floats(-60.0, -1e-3)),
+        lengths.map(lambda n: [0.0] * n),
+        days_of(st.floats(600.0, 1.0e4)),
+    ).map(lambda day: np.array(day, dtype=float))
 
 
 def fault_plans(timeline: Optional[Timeline] = None, max_seed: int = 300):

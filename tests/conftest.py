@@ -37,3 +37,22 @@ def ecg_graph():
     from repro.tasks import ecg
 
     return ecg()
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty trained-policy and trace memos for the length of one test.
+
+    The process-local memos of :mod:`repro.core.offline` are emptied
+    before the test, emptied again after it, and then given back what
+    they held, so the test sees no other test's policy and leaves none
+    of its own behind.  Yields :func:`~repro.core.offline.clear_memos`.
+    """
+    from repro.core import offline
+
+    saved = dict(offline._POLICIES), dict(offline._TRACES)
+    offline.clear_memos()
+    yield offline.clear_memos
+    offline.clear_memos()
+    offline._POLICIES.update(saved[0])
+    offline._TRACES.update(saved[1])

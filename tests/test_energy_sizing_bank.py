@@ -127,6 +127,12 @@ class TestClusterCapacities:
         )
         assert heavy_small[0] < heavy_big[0]
 
+    def test_zero_weight_cluster_keeps_its_value(self):
+        """A cluster whose days all weigh zero (dark days) is averaged
+        unweighted rather than dividing by a zero weight sum."""
+        out = cluster_capacities([47.0, 0.5], weights=[1.0, 0.0])
+        assert out == [0.5, 47.0]
+
     @pytest.mark.parametrize(
         "optima,weights,clusters",
         [([], None, 2), ([1.0], [1.0, 2.0], 2), ([0.0], None, 1),

@@ -65,6 +65,18 @@ class TestCommon:
         with pytest.raises(ValueError):
             evaluation_suite(wam(), training_trace(3), include=("nope",))
 
+    def test_evaluation_suite_rejects_key_before_training(self, monkeypatch):
+        """A bad key fails fast: nothing is trained before it is rejected."""
+        import repro.experiments.common as common
+        from repro.tasks import wam
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a policy before validating")
+
+        monkeypatch.setattr(common, "train_policy", no_training)
+        with pytest.raises(ValueError, match="unknown scheduler key 'nope'"):
+            evaluation_suite(wam(), training_trace(3), include=("nope",))
+
 
 class TestCheapExperiments:
     def test_fig5_shape(self):

@@ -369,7 +369,7 @@ class TestFleetRunner:
         assert result.config["nodes_served"] == 0
         assert result.config["nodes_per_s"] > 0
 
-    def test_proposed_policy_pool(self, tmp_path, monkeypatch):
+    def test_proposed_policy_pool(self, tmp_path, monkeypatch, fresh_memos):
         """The DBN pipeline trains once per workload, shared via cache."""
         monkeypatch.delenv("REPRO_NO_CACHE")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

@@ -156,8 +156,11 @@ class TestFixedHistogram:
         # The documented bound is vs the nearest-rank sample (numpy's
         # method="lower"), not the interpolated percentile — with two
         # samples {0, 1} the interpolated median falls in an empty bin
-        # no histogram sketch could point at.
-        exact = float(np.percentile(values, 100.0 * q, method="lower"))
+        # no histogram sketch could point at.  The reference takes the
+        # same q: percentile(100 * q) round-trips q through 100 * q /
+        # 100, which can move floor(q * (n - 1)) by one sample
+        # (q = 1/3 over [0, 1, 1, 1]).
+        exact = float(np.quantile(values, q, method="lower"))
         assert abs(estimate - exact) <= hist.bin_width + 1e-12
         assert hist.min <= estimate <= hist.max
 

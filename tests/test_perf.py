@@ -157,15 +157,15 @@ class TestArtifactCache:
         assert final is not None and final["blob"] == _RACE_BLOB
         assert list(tmp_path.rglob("*.tmp*")) == []
 
-    def test_no_cache_env_bypasses_reads_too(self, tmp_path, monkeypatch):
+    def test_no_cache_env_bypasses_reads_too(
+        self, tmp_path, monkeypatch, fresh_memos
+    ):
         """``REPRO_NO_CACHE=1`` must skip cache *reads* as well as
         writes: a poisoned disk entry under the exact training key is
         never returned, and the run leaves the cache untouched."""
-        import repro.experiments.common as common
         from repro.experiments.common import training_trace
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(common, "_policy_cache", {})
         graph = paper_benchmarks()["WAM"]
         pipe = OfflinePipeline(graph, num_capacitors=4, finetune_epochs=5)
         digest = pipe.cache_key(training_trace(2))
@@ -176,7 +176,7 @@ class TestArtifactCache:
         assert train_policy(
             graph, train_days=2, finetune_epochs=5, use_cache=True
         ) == poison
-        common._policy_cache.clear()  # the poison got memoised too
+        fresh_memos()  # the poison got memoised too
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         policy = train_policy(graph, train_days=2, finetune_epochs=5)
         assert not isinstance(policy, str)  # trained fresh, read skipped

@@ -14,6 +14,10 @@ from repro.energy.capacitor import SuperCapacitor
 from repro.schedulers import GreedyEDFScheduler
 from repro.solar import synthetic_trace
 from repro.tasks import paper_benchmarks
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.offline import OfflinePipeline
 from repro.verify import (
     BRUTEFORCE_INSTANCES,
     ScalarReferenceBank,
@@ -23,9 +27,16 @@ from repro.verify import (
     oracle_plan_vs_bruteforce,
     oracle_reference_fingerprints,
     oracle_scalar_vs_vectorized,
+    oracle_sizing_vs_scalar,
     reference_run_specs,
+    sizing_edge_days,
 )
-from repro.verify.strategies import tiny_env, tiny_timeline
+from repro.verify.strategies import (
+    build_graph,
+    migration_days,
+    tiny_env,
+    tiny_timeline,
+)
 
 
 # ----------------------------------------------------------------------
@@ -204,3 +215,53 @@ class TestReferenceFingerprints:
 
     def test_missing_file_returns_none(self, tmp_path):
         assert load_reference_fingerprints(tmp_path / "nope.json") is None
+
+
+# ----------------------------------------------------------------------
+# sizing-vs-scalar
+# ----------------------------------------------------------------------
+class TestSizingVsScalar:
+    def test_edge_days_agree(self):
+        out = oracle_sizing_vs_scalar(sizing_edge_days(), label="edges")
+        assert out.passed, out.violations
+        assert out.checked == 6 * 11 + 1
+
+    @pytest.mark.parametrize("kind", ["wam", "ecg", "shm", "random:7"])
+    def test_graph_days_agree(self, kind):
+        trace = synthetic_trace(tiny_timeline(num_days=2), seed=4)
+        pipe = OfflinePipeline(build_graph(kind))
+        days, weights = pipe.daily_migration(trace)
+        out = oracle_sizing_vs_scalar(days, weights=weights, label=kind)
+        assert out.passed, out.violations
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(migration_days(), min_size=1, max_size=4))
+    def test_drawn_days_agree(self, days):
+        out = oracle_sizing_vs_scalar(
+            days, candidates=(0.5, 2.0, 10.0, 47.0), num_capacitors=2
+        )
+        assert out.passed, out.violations
+
+    def test_corrupted_kernel_row_names_the_pair(self, monkeypatch):
+        """A leak off-by-one planted in one kernel row comes back as a
+        Violation naming exactly that (day, capacitance) pair."""
+        import repro.energy.kernel as kernel
+
+        real = kernel.device_leak_row
+        days = sizing_edge_days()
+        target = 2 * len(days) + 4  # third candidate, fill-then-drain day
+
+        def corrupt(row, devices):
+            out = real(row, devices)
+            return [x * 1.5 + 1e-7 for x in out] if row == target else out
+
+        monkeypatch.setattr(kernel, "device_leak_row", corrupt)
+        out = oracle_sizing_vs_scalar(days, label="teeth")
+        assert not out.passed
+        named = {
+            (v.details["day"], v.details["capacitance"])
+            for v in out.violations
+            if "day" in v.details
+        }
+        assert named == {(4, 2.0)}
+        assert "leakage_loss" in out.violations[0].details["differing_fields"]
