@@ -77,12 +77,8 @@ class FeatureCodec:
                 f"got {voltages.shape}"
             )
         solar = np.clip(prev_solar / self.solar_scale, 0.0, 1.5)
-        v_norm = np.array(
-            [
-                np.clip(v / cap.v_full, 0.0, 1.0)
-                for v, cap in zip(voltages, self.capacitors)
-            ]
-        )
+        v_full = np.array([cap.v_full for cap in self.capacitors])
+        v_norm = np.clip(voltages / v_full, 0.0, 1.0)
         dmr = np.clip(accumulated_dmr, 0.0, 1.0)
         return np.concatenate([solar, v_norm, [dmr]])
 

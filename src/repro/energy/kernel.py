@@ -1,7 +1,8 @@
 """Row-major capacitor physics: one masked slot update for many banks.
 
 :class:`BankRows` holds ``rows`` capacitor banks padded to ``caps``
-columns, each with one *active* column, and applies the slot update of
+columns, each with one *active* column (per row, movable with
+:meth:`BankRows.select`), and applies the slot update of
 :class:`~repro.energy.capacitor.CapacitorState` to every row at once:
 :meth:`BankRows.charge` and :meth:`BankRows.discharge` on the active
 column, :meth:`BankRows.leak` on the whole ``(rows, caps)`` voltage
@@ -52,9 +53,9 @@ class BankRows:
     """Per-row bank constants and the masked slot physics over them.
 
     ``banks[i]`` is row ``i``'s capacitors and ``active[i]`` the column
-    its charge and discharge touch.  Padded columns get capacitance 1,
-    zero volts and zero leak, so their leak update is exactly
-    ``0 -> 0`` and adds ``+0.0`` to the row's loss.
+    its charge and discharge touch; :meth:`select` moves it.  Padded
+    columns get capacitance 1, zero volts and zero leak, so their leak
+    update is exactly ``0 -> 0`` and adds ``+0.0`` to the row's loss.
     """
 
     def __init__(
@@ -87,26 +88,56 @@ class BankRows:
             ]
             self.exps_flat.extend(d.leak_exponent for d in devices)
             self.exps_flat.extend(1.0 for _ in range(c_max - c_n))
+        self._banks = banks
+        # Active-column constants, one entry per row (see select()).
         devs = [banks[i][a] for i, a in enumerate(self.active.tolist())]
-        # Active-column constants, one entry per row.
-        self.c = self.capacitance[self.rows, self.active]
-        self.e_full = np.array(
-            [0.5 * d.capacitance * d.v_full * d.v_full for d in devs]
+        for name, values in zip(
+            self._ACTIVE_FIELDS, self._active_constants(devs)
+        ):
+            setattr(self, name, np.array(values, dtype=float))
+
+    #: The per-row constants of each row's active column (``half_c``
+    #: is ``0.5 * C``, the first product of ``0.5 * C * V * V``).
+    _ACTIVE_FIELDS = (
+        "c", "half_c", "e_full", "e_cutoff", "v_stop_chg", "v_stop_dis", "cyc",
+        "in_eta", "in_exp", "in_vh", "out_eta", "out_exp", "out_vh",
+    )
+
+    @staticmethod
+    def _active_constants(devs: Sequence[SuperCapacitor]) -> tuple:
+        """:data:`_ACTIVE_FIELDS` values of ``devs``, in that order."""
+        return (
+            [d.capacitance for d in devs],
+            [0.5 * d.capacitance for d in devs],
+            [0.5 * d.capacitance * d.v_full * d.v_full for d in devs],
+            [0.5 * d.capacitance * d.v_cutoff * d.v_cutoff for d in devs],
+            [d.v_full - 1e-12 for d in devs],
+            [d.v_cutoff + 1e-12 for d in devs],
+            [d.cycle_efficiency for d in devs],
+            [d.input_regulator.eta_max for d in devs],
+            [d.input_regulator.exponent for d in devs],
+            [d.input_regulator._vhalf_pow for d in devs],
+            [d.output_regulator.eta_max for d in devs],
+            [d.output_regulator.exponent for d in devs],
+            [d.output_regulator._vhalf_pow for d in devs],
         )
-        self.e_cutoff = np.array(
-            [0.5 * d.capacitance * d.v_cutoff * d.v_cutoff for d in devs]
-        )
-        self.v_stop_chg = np.array([d.v_full - 1e-12 for d in devs])
-        self.v_stop_dis = np.array([d.v_cutoff + 1e-12 for d in devs])
-        self.cyc = np.array([d.cycle_efficiency for d in devs])
-        self.in_eta = np.array([d.input_regulator.eta_max for d in devs])
-        self.in_exp = np.array([d.input_regulator.exponent for d in devs])
-        self.in_vh = np.array([d.input_regulator._vhalf_pow for d in devs])
-        self.out_eta = np.array([d.output_regulator.eta_max for d in devs])
-        self.out_exp = np.array([d.output_regulator.exponent for d in devs])
-        self.out_vh = np.array(
-            [d.output_regulator._vhalf_pow for d in devs]
-        )
+
+    def select(self, rows: Sequence[int], cols: Sequence[int]) -> None:
+        """Make ``cols[j]`` the active column of row ``rows[j]``.
+
+        Re-gathers the active-column constants of those rows only, so
+        rows that never switch pay nothing.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        self.active[rows] = cols
+        devs = [
+            self._banks[r][c] for r, c in zip(rows.tolist(), cols.tolist())
+        ]
+        for name, values in zip(
+            self._ACTIVE_FIELDS, self._active_constants(devs)
+        ):
+            getattr(self, name)[rows] = values
 
     # ------------------------------------------------------------------
     def charge_efficiency(self, v_col: np.ndarray) -> np.ndarray:
@@ -123,9 +154,9 @@ class BankRows:
         outside ``mask``).
         """
         rows, a = self.rows, self.active
-        c = self.c
+        c, half_c = self.c, self.half_c
         v_col = v[rows, a]
-        energy = 0.5 * c * v_col * v_col
+        energy = half_c * v_col * v_col
         stored_total = np.zeros(self.n)
         chunk = energy_in / 4
         for _ in range(4):
@@ -139,7 +170,7 @@ class BankRows:
                 np.maximum(energy + stored, 0.0), self.e_full
             )
             v_new = np.sqrt(2.0 * new_energy / c)
-            e_new = 0.5 * c * v_new * v_new
+            e_new = half_c * v_new * v_new
             v_col = np.where(alive, v_new, v_col)
             energy = np.where(alive, e_new, energy)
             stored_total = np.where(
@@ -158,9 +189,9 @@ class BankRows:
         for the remaining substeps — the masked scalar ``break``.
         """
         rows, a = self.rows, self.active
-        c = self.c
+        c, half_c = self.c, self.half_c
         v_col = v[rows, a]
-        energy = 0.5 * c * v_col * v_col
+        energy = half_c * v_col * v_col
         delivered_total = np.zeros(self.n)
         chunk = energy_needed / 4
         for _ in range(4):
@@ -179,7 +210,7 @@ class BankRows:
                 np.maximum(energy - drawn, 0.0), self.e_full
             )
             v_new = np.sqrt(2.0 * new_energy / c)
-            e_new = 0.5 * c * v_new * v_new
+            e_new = half_c * v_new * v_new
             v_col = np.where(alive, v_new, v_col)
             energy = np.where(alive, e_new, energy)
             delivered_total = np.where(

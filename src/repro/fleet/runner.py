@@ -2,7 +2,8 @@
 
 A :class:`FleetRunner` expands a :class:`~repro.fleet.spec.FleetSpec`
 into shards of node ids and fans them out over
-:func:`repro.perf.parallel.parallel_map`.  Each shard is a tiny
+:func:`repro.reliability.supervisor.supervised_map`.  Each shard is a
+tiny
 picklable work item ``(spec, node_ids, shard_index, span_context)``;
 the worker rebuilds the base trace, derives every node's configuration
 from ``(fleet seed, node id)``, simulates it inside ``shard``/``node``
@@ -151,14 +152,7 @@ def _proposed_policy(fleet: FleetSpec, graph_kind: str):
     shares the artifact across processes and runs as well.
     """
     from ..core.offline import OfflinePipeline, memo_trace, trained_policy
-    from ..timeline import Timeline
 
-    train_tl = Timeline(
-        num_days=fleet.proposed_train_days,
-        periods_per_day=fleet.periods_per_day,
-        slots_per_period=fleet.slots_per_period,
-        slot_seconds=fleet.slot_seconds,
-    )
     pipeline = OfflinePipeline(
         build_graph(graph_kind),
         pretrain_epochs=fleet.proposed_epochs,
@@ -168,7 +162,7 @@ def _proposed_policy(fleet: FleetSpec, graph_kind: str):
     )
     cache = default_cache() if cache_enabled() else None
     return trained_policy(
-        pipeline, memo_trace(train_tl, fleet.seed), cache=cache
+        pipeline, memo_trace(fleet.train_timeline(), fleet.seed), cache=cache
     )
 
 
@@ -221,8 +215,9 @@ def _batch_eligible(specs: Sequence[NodeSpec]) -> List[tuple]:
     """``(position, spec, graph)`` of every batch-eligible spec.
 
     Eligible means a policy in :data:`~repro.sim.batch.BATCH_POLICIES`
-    and a task count within the batch width.  Nodes of one workload
-    share one (immutable) graph.
+    (every fleet policy but ``dvfs``, ``proposed`` included) and a
+    task count within the batch width.  Nodes of one workload share
+    one (immutable) graph.
     """
     from ..sim.batch import batch_ineligibility
 
@@ -235,11 +230,15 @@ def _batch_eligible(specs: Sequence[NodeSpec]) -> List[tuple]:
     ]
 
 
-def _batch_summaries(base_trace, eligible) -> Dict[int, NodeSummary]:
+def _batch_summaries(
+    fleet: FleetSpec, base_trace, eligible
+) -> Dict[int, NodeSummary]:
     """Summaries of :func:`_batch_eligible` nodes, keyed by position.
 
     The one batch-and-summarise step of both shard executors and the
-    batched-vs-per-node oracle.  Each case draws its weather lazily,
+    batched-vs-per-node oracle.  Each ``proposed`` workload is trained
+    first, through the trained-policy memo, and its rows carry the
+    trained policy and its bank.  Each case draws its weather lazily,
     so the batch holds it once; banks share one frozen device per
     capacitance; and the columnar results are summarised node by
     node, so one node's period records are alive at a time.
@@ -248,17 +247,32 @@ def _batch_summaries(base_trace, eligible) -> Dict[int, NodeSummary]:
 
     farads = {c for _, spec, _ in eligible for c in spec.bank_farads}
     devices = {c: SuperCapacitor(capacitance=c) for c in farads}
+    trained = {
+        kind: _proposed_policy(fleet, kind)
+        for kind in sorted(
+            {s.graph_kind for _, s, _ in eligible if s.policy == "proposed"}
+        )
+    }
+
+    def case(spec, graph) -> BatchCase:
+        policy = (
+            trained[spec.graph_kind] if spec.policy == "proposed" else None
+        )
+        return BatchCase(
+            graph=graph,
+            trace=functools.partial(node_trace, base_trace, spec),
+            capacitors=(
+                tuple(devices[c] for c in spec.bank_farads)
+                if policy is None
+                else policy.capacitors
+            ),
+            policy=spec.policy,
+            scheduler_seed=spec.scheduler_seed,
+            trained=policy,
+        )
+
     results = simulate_batch(
-        [
-            BatchCase(
-                graph=graph,
-                trace=functools.partial(node_trace, base_trace, spec),
-                capacitors=tuple(devices[c] for c in spec.bank_farads),
-                policy=spec.policy,
-                scheduler_seed=spec.scheduler_seed,
-            )
-            for _, spec, graph in eligible
-        ]
+        [case(spec, graph) for _, spec, graph in eligible]
     )
     return {
         i: _summarize(spec, graph, result)
@@ -272,13 +286,13 @@ def simulate_shard_batch(
     """Batched counterpart of mapping :func:`simulate_node` over specs.
 
     Eligible nodes run through one node-major engine
-    (:func:`_batch_summaries`); the rest — ``proposed``/``dvfs``
-    policies, oversized graphs — run through :func:`simulate_node`.
+    (:func:`_batch_summaries`); the rest — ``dvfs`` nodes, oversized
+    graphs — run through :func:`simulate_node`.
     Summaries come back in input order and are bit-identical to the
     per-node path (the batched-vs-per-node oracle holds this contract).
     """
     specs = list(specs)
-    done = _batch_summaries(base_trace, _batch_eligible(specs))
+    done = _batch_summaries(fleet, base_trace, _batch_eligible(specs))
     return [
         done[i] if i in done else simulate_node(fleet, base_trace, spec)
         for i, spec in enumerate(specs)
@@ -369,7 +383,7 @@ def _run_shard(item):
                     },
                 ) as span:
                     try:
-                        batched = _batch_summaries(base, eligible)
+                        batched = _batch_summaries(fleet, base, eligible)
                     except KeyboardInterrupt:
                         raise
                     except Exception as exc:

@@ -150,6 +150,16 @@ class FleetSpec:
             raise ValueError(f"bad panel_scale range {self.panel_scale}")
         if not 0 <= self.cloud_jitter[0] <= self.cloud_jitter[1]:
             raise ValueError(f"bad cloud_jitter range {self.cloud_jitter}")
+        # Timelines validate their own fields: a bad one fails here,
+        # before any shard is dispatched.
+        self.timeline()
+        if "proposed" in self.policies:
+            self.train_timeline()
+            if self.proposed_epochs < 1:
+                raise ValueError(
+                    f"proposed_epochs must be >= 1, got "
+                    f"{self.proposed_epochs}"
+                )
 
     # ------------------------------------------------------------------
     def timeline(self) -> Timeline:
@@ -158,6 +168,12 @@ class FleetSpec:
             periods_per_day=self.periods_per_day,
             slots_per_period=self.slots_per_period,
             slot_seconds=self.slot_seconds,
+        )
+
+    def train_timeline(self) -> Timeline:
+        """Timeline of the ``proposed`` policy's training weather."""
+        return dataclasses.replace(
+            self.timeline(), num_days=self.proposed_train_days
         )
 
     def base_trace(self) -> SolarTrace:

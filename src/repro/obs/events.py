@@ -251,7 +251,8 @@ class FleetShardEvent(Event):
 
 @dataclasses.dataclass(frozen=True)
 class PoolDecisionEvent(Event):
-    """How :func:`repro.perf.parallel.parallel_map` planned a fan-out.
+    """How :func:`repro.reliability.supervisor.supervised_map` planned
+    a fan-out (:func:`repro.perf.parallel.plan_pool`).
 
     ``mode`` is ``"pool"`` or ``"serial"``; ``reason`` is the
     human-readable why (tiny job list, single-core host, ...).  No

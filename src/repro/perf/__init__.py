@@ -7,8 +7,8 @@ numerics:
   expensive offline artifacts (trained DBN policies and everything
   bundled with them: sized capacitor banks, LUT samples, solar-class
   centroids);
-- :mod:`repro.perf.parallel` — deterministic process-pool map over
-  independent simulation cells;
+- :mod:`repro.perf.parallel` — worker-count resolution and the
+  process-pool fan-out plan of the supervised executor;
 - :mod:`repro.perf.bench` — the ``repro bench`` perf-regression
   harness behind ``BENCH_perf.json``.
 """
@@ -20,7 +20,7 @@ from .cache import (
     default_cache_dir,
     hash_key,
 )
-from .parallel import parallel_map, resolve_workers
+from .parallel import resolve_workers
 
 __all__ = [
     "ArtifactCache",
@@ -28,6 +28,5 @@ __all__ = [
     "default_cache",
     "default_cache_dir",
     "hash_key",
-    "parallel_map",
     "resolve_workers",
 ]

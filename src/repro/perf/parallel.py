@@ -1,48 +1,31 @@
-"""Deterministic process-pool map over independent simulation cells.
+"""Worker-count resolution and the process-pool fan-out plan.
 
-The experiment grids (scheduler × day × seed × config) are
-embarrassingly parallel: every cell builds its own node and scheduler
-from picklable inputs and returns a picklable result.  This module
-fans those cells out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-while keeping the *results* — and therefore every downstream table and
-fingerprint — identical to a serial run:
+The experiment grids (scheduler × day × seed × config) and fleet
+shards are embarrassingly parallel; the one pooled executor,
+:func:`repro.reliability.supervisor.supervised_map`, fans them out.
+This module decides *how wide*:
 
-- the work list is materialised up front and results are reassembled
-  in input order, whatever order the workers finish in;
-- each cell carries its own seeds/config; nothing is derived from
-  worker identity, scheduling order or wall-clock;
-- the serial path stays the reference implementation, and the planner
-  *falls back to it* whenever a pool cannot win: one effective worker,
-  fewer than two items, or a host without spare cores
-  (``os.cpu_count()``).  Spawning four processes on a single-core box
-  is how the old code turned "parallel" into a 0.77x slowdown.
-
-Every fan-out decision can be recorded as a ``pool_decision`` obs
-event (pass an ``observer``), and span context propagates through
-:func:`traced_map` so worker-side spans reassemble under the caller's
-span tree.
-
-Worker count resolution order: explicit argument, then the
-``REPRO_WORKERS`` environment variable, then 1 (serial).
+- :func:`resolve_workers` — explicit argument, then the
+  ``REPRO_WORKERS`` environment variable, then 1 (serial);
+- :func:`plan_pool` — the serial path stays the reference
+  implementation, and the planner *falls back to it* whenever a pool
+  cannot win: one effective worker, fewer than two items, or a host
+  without spare cores (``os.cpu_count()``).  Spawning four processes
+  on a single-core box is how the old code turned "parallel" into a
+  0.77x slowdown.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Optional, Tuple
 
-from ..obs.trace import activate, collecting_tracer, current_tracer
-
-__all__ = ["parallel_map", "plan_pool", "resolve_workers", "traced_map"]
+__all__ = ["plan_pool", "resolve_workers"]
 
 ENV_WORKERS = "REPRO_WORKERS"
 
 #: Below this many items a pool's startup cost cannot amortise.
 MIN_POOL_ITEMS = 2
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def resolve_workers(n_workers: Optional[int] = None) -> int:
@@ -87,126 +70,3 @@ def plan_pool(
         "pool",
         f"min(requested {requested}, items {n_items}, cpus {cpus})",
     )
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    n_workers: Optional[int] = None,
-    observer=None,
-    on_result: Optional[Callable[[int, R], None]] = None,
-    assume_cpus: Optional[int] = None,
-) -> List[R]:
-    """``[fn(item) for item in items]``, fanned out over processes.
-
-    Results come back in item order regardless of worker count, so a
-    parallel run is a drop-in replacement for the serial loop.  ``fn``
-    and every item must be picklable (module-level function, picklable
-    arguments).
-
-    ``on_result(index, result)`` fires in the parent process as each
-    item *completes* (completion order in pool mode, input order in
-    serial mode) — this is what live progress surfaces hang off.
-    ``observer`` records the fan-out decision as a ``pool_decision``
-    event; ``assume_cpus`` overrides the detected core count (tests).
-    """
-    work = list(items)
-    requested = resolve_workers(n_workers)
-    workers, mode, reason = plan_pool(
-        requested, len(work), cpu_count=assume_cpus
-    )
-    if observer is not None:
-        observer.pool_decision(
-            requested=requested,
-            cpu_count=(
-                assume_cpus if assume_cpus is not None
-                else (os.cpu_count() or 1)
-            ),
-            items=len(work),
-            workers=workers,
-            mode=mode,
-            reason=reason,
-        )
-    if mode == "serial":
-        results: List[R] = []
-        for index, item in enumerate(work):
-            result = fn(item)
-            if on_result is not None:
-                on_result(index, result)
-            results.append(result)
-        return results
-    slots: List[Optional[R]] = [None] * len(work)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(fn, item): index for index, item in enumerate(work)
-        }
-        for future in as_completed(futures):
-            index = futures[future]
-            result = future.result()
-            slots[index] = result
-            if on_result is not None:
-                on_result(index, result)
-    return slots  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# Span propagation through the pool
-# ----------------------------------------------------------------------
-def _run_traced_item(payload):
-    """Worker entry: rebuild the tracer, wrap the item in a span."""
-    fn, name, key, wire, item = payload
-    tracer, records = collecting_tracer(wire)
-    with activate(tracer):
-        with tracer.span(name, key=key):
-            result = fn(item)
-    return result, records
-
-
-def traced_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    name: str = "item",
-    keys: Optional[Sequence[object]] = None,
-    n_workers: Optional[int] = None,
-    tracer=None,
-    observer=None,
-    on_result: Optional[Callable[[int, R], None]] = None,
-    assume_cpus: Optional[int] = None,
-) -> List[R]:
-    """:func:`parallel_map` that carries span context into workers.
-
-    Each item runs inside a ``name`` span keyed by ``keys[i]`` (item
-    index by default) and parented at the caller's active span; the
-    worker-side records come back with the results and are re-emitted
-    here, so the trace reassembles into one tree.  With no active
-    tracer this is exactly :func:`parallel_map`.
-    """
-    work = list(items)
-    tracer = tracer if tracer is not None else current_tracer()
-    if not tracer.enabled:
-        return parallel_map(
-            fn, work, n_workers=n_workers, observer=observer,
-            on_result=on_result, assume_cpus=assume_cpus,
-        )
-    wire = tracer.context().to_wire()
-    key_list = list(keys) if keys is not None else list(range(len(work)))
-    if len(key_list) != len(work):
-        raise ValueError(
-            f"{len(key_list)} keys for {len(work)} items"
-        )
-    payloads = [
-        (fn, name, key, wire, item) for key, item in zip(key_list, work)
-    ]
-
-    def _relay(index: int, out) -> None:
-        result, records = out
-        for record in records:
-            tracer.emit(record)
-        if on_result is not None:
-            on_result(index, result)
-
-    outs = parallel_map(
-        _run_traced_item, payloads, n_workers=n_workers,
-        observer=observer, on_result=_relay, assume_cpus=assume_cpus,
-    )
-    return [result for result, _records in outs]

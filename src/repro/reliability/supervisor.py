@@ -1,11 +1,11 @@
 """Supervised pooled execution: retries, timeouts, pool recovery.
 
-:func:`repro.perf.parallel.parallel_map` assumes every task returns:
-a raising task, a hung worker or a ``BrokenProcessPool`` kills the
-whole map — and with it a multi-hour fleet run.  This module wraps the
-same fan-out plan in a supervisor that treats those failures as the
-normal operating regime, the way the batteryless-IoT literature treats
-node death-and-resume:
+A bare process-pool map assumes every task returns: a raising task, a
+hung worker or a ``BrokenProcessPool`` kills the whole map — and with
+it a multi-hour fleet run.  This module wraps the fan-out plan of
+:func:`repro.perf.parallel.plan_pool` in a supervisor that treats
+those failures as the normal operating regime, the way the
+batteryless-IoT literature treats node death-and-resume:
 
 - **bounded retries** — a raising task is re-dispatched up to
   ``max_retries`` times with *deterministic* seeded exponential
@@ -666,12 +666,15 @@ def supervised_map(
     labels: Optional[Sequence[str]] = None,
     force_pool: bool = False,
 ) -> SupervisedResult:
-    """:func:`~repro.perf.parallel.parallel_map` under supervision.
+    """``[fn(item) for item in items]`` over processes, supervised.
 
-    Same contract — results slotted in input order, ``fn`` and items
-    picklable, ``on_result`` fired per completion — plus the retry/
-    timeout/pool-recovery ladder of ``policy`` (default
-    :meth:`SupervisorPolicy.from_env`).
+    Results are slotted in input order whatever order the workers
+    finish in, so a pooled run is a drop-in replacement for the serial
+    loop; ``fn`` and every item must be picklable; ``on_result(index,
+    result)`` fires in the parent per completion (input order when
+    serial).  The fan-out follows :func:`~repro.perf.parallel.plan_pool`,
+    and the retry/timeout/pool-recovery ladder follows ``policy``
+    (default :meth:`SupervisorPolicy.from_env`).
 
     ``prepare(item, attempt)`` (optional) maps an item to the payload
     actually dispatched, receiving the 0-based attempt number — this
@@ -760,11 +763,11 @@ def supervised_traced_map(
 ) -> SupervisedResult:
     """:func:`supervised_map` that carries span context into workers.
 
-    The supervised sibling of
-    :func:`repro.perf.parallel.traced_map`: each item runs inside a
-    ``name`` span keyed by ``keys[i]`` under the caller's active span,
-    and the worker-side records of successful attempts are re-emitted
-    here.  With no active tracer the span plumbing short-circuits.
+    Each item runs inside a ``name`` span keyed by ``keys[i]`` under
+    the caller's active span, and the worker-side records of
+    successful attempts are re-emitted here, so the trace reassembles
+    into one tree.  With no active tracer the span plumbing
+    short-circuits.
     """
     work = list(items)
     tracer = tracer if tracer is not None else current_tracer()

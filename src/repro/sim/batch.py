@@ -23,8 +23,9 @@ byte-for-byte.  The layout decisions that make this work:
   permutation bijectively so scatters are exact.
 * **Sequential masked sums.**  ``np.sum`` uses pairwise accumulation,
   which is *not* the left-to-right order of the scalar engine's
-  ``sum(...)``; load power and leakage losses are therefore accumulated
-  with an explicit loop over the (≤ :data:`MAX_BATCH_TASKS`) position
+  ``sum(...)``; load powers are therefore accumulated with
+  ``np.add.accumulate`` along the (≤ :data:`MAX_BATCH_TASKS`) position
+  columns and leakage losses with an explicit loop over the bank
   columns, adding a masked ``0.0`` where a node did not choose the
   task — exact, because ``x + 0.0`` is ``x`` for every non-negative
   ``x``.
@@ -37,12 +38,25 @@ byte-for-byte.  The layout decisions that make this work:
   energy admission (inter-task rows) run per node once per *period*;
   the ``random`` policy keeps its per-node ``Generator`` draw loop so
   the consumed stream is identical.
+* **The paper's scheduler keeps its own coarse stage.**  Each
+  ``proposed`` row owns a :class:`~repro.core.online.ProposedScheduler`
+  whose ``on_period_start`` runs once per period on a
+  :class:`~repro.sim.views.PeriodStartView` built from the row's state
+  (the DBN forward pass and the degradation ladder are therefore the
+  per-node code itself).  Its ``request_capacitor`` applies Eq. (22)
+  to the row and moves the row's active column
+  (:meth:`~repro.energy.kernel.BankRows.select`).  The selected subset
+  becomes the row's admission mask; per slot, rows with
+  ``|1 - α| <= δ`` join the intra-task combo kernel and the others
+  take the lazy inter-task pass, a greedy loop over positions.
 
 Eligibility: :func:`batch_ineligibility` names why a case cannot take
-the batched path (unsupported policy, too many tasks for the exact
-subset-enumeration table, a fault injector).  :func:`simulate_cases`
-dispatches — batched where possible, the per-node engine otherwise —
-so callers get one uniform entry point.
+the batched path (unsupported policy — only ``dvfs`` today —, too many
+tasks for the exact subset-enumeration table, a fault injector).
+``proposed`` cases must also carry their trained policy
+(:attr:`BatchCase.trained`).  :func:`simulate_cases` dispatches —
+batched where possible, the per-node engine otherwise — so callers get
+one uniform entry point.
 """
 
 from __future__ import annotations
@@ -70,6 +84,7 @@ from ..tasks.graph import TaskGraph
 from ..timeline import Timeline
 from .recorder import PeriodRecord, SimulationResult
 from .state import COMPLETION_EPS
+from .views import BankView, PeriodStartView
 
 __all__ = [
     "BATCH_POLICIES",
@@ -82,12 +97,13 @@ __all__ = [
 ]
 
 #: Policies the batched core implements (same decision rules as the
-#: per-node schedulers of the fleet pool, minus the trained ones).
+#: per-node schedulers of the fleet pool; ``dvfs`` is not batched).
 BATCH_POLICIES: Tuple[str, ...] = (
     "asap",
     "inter-task",
     "intra-task",
     "random",
+    "proposed",
 )
 
 #: Largest task count the batched intra-task subset table enumerates —
@@ -110,7 +126,10 @@ class BatchCase:
     Defaults mirror what :func:`repro.fleet.runner.simulate_node`
     builds: a :class:`~repro.node.node.SensorNode` with default panel,
     PMU and NVPs — only the pieces that vary across a fleet (graph,
-    weather, bank sizes, policy, seed) are parameters here.
+    weather, bank sizes, policy, seed) are parameters here.  A
+    ``proposed`` case carries its
+    :class:`~repro.core.offline.TrainedPolicy` in :attr:`trained`,
+    whose capacitors are the case's bank.
     """
 
     graph: TaskGraph
@@ -124,6 +143,9 @@ class BatchCase:
     #: Present only so dispatchers can carry fault-scenario cases; a
     #: non-None injector always routes to the per-node engine.
     fault_injector: object = None
+    #: The trained policy of a ``proposed`` case: its switch threshold
+    #: ``E_th`` and ``make_scheduler()`` drive the row.
+    trained: object = None
 
     def solar_trace(self) -> SolarTrace:
         """The node's weather, drawn now if :attr:`trace` is a callable."""
@@ -152,6 +174,15 @@ def batch_ineligibility(
 _node_leak_row = device_leak_row
 
 
+def _row_scheduler(row: int, trained):
+    """The scheduler of batch row ``row`` of a trained policy.
+
+    Looked up when a batch is built, like :data:`_node_leak_row`, so
+    the conformance suite can corrupt a single row's coarse decision.
+    """
+    return trained.make_scheduler()
+
+
 def simulate_batch(cases: Sequence[BatchCase]) -> Sequence[SimulationResult]:
     """Simulate every case in one node-major batch; results in order.
 
@@ -169,6 +200,8 @@ def simulate_batch(cases: Sequence[BatchCase]) -> Sequence[SimulationResult]:
         reason = batch_ineligibility(
             case.policy, case.graph, case.fault_injector
         )
+        if case.policy == "proposed" and case.trained is None:
+            reason = "policy 'proposed' needs a trained policy"
         if reason is not None:
             raise ValueError(f"case {i} is not batch-eligible: {reason}")
     return _BatchEngine(cases).run()
@@ -208,11 +241,15 @@ def _simulate_per_node(case: BatchCase) -> SimulationResult:
         "intra-task": lambda: IntraTaskScheduler(),
         "dvfs": lambda: DVFSLoadMatchingScheduler(),
         "random": lambda: RandomScheduler(case.scheduler_seed),
+        "proposed": lambda: case.trained.make_scheduler(),
     }
     if case.policy not in makers:
         raise ValueError(f"unknown batch policy {case.policy!r}")
+    node_kwargs = {}
+    if case.trained is not None:
+        node_kwargs["switch_threshold"] = case.trained.switch_threshold
     node = SensorNode(
-        list(case.capacitors), num_nvps=case.graph.num_nvps
+        list(case.capacitors), num_nvps=case.graph.num_nvps, **node_kwargs
     )
     return simulate(
         node,
@@ -244,10 +281,11 @@ class BatchResults(Sequence[SimulationResult]):
     """The period books of one batch, stored node-major.
 
     The engine writes each period's books for every node into
-    preallocated arrays — ``miss_count``/``brownouts`` ``(n, periods)``,
-    ``energy`` ``(n, periods, 7)`` (:data:`_ENERGY_FIELDS`),
-    ``executed`` ``(n, periods, t_max)`` and ``start_voltages``
-    ``(n, periods, c_max)`` — instead of one :class:`PeriodRecord` per
+    preallocated arrays — ``miss_count``/``brownouts``/``active_index``
+    ``(n, periods)``, ``energy`` ``(n, periods, 7)``
+    (:data:`_ENERGY_FIELDS`), ``executed`` ``(n, periods, t_max)`` and
+    ``start_voltages`` ``(n, periods, c_max)`` — instead of one
+    :class:`PeriodRecord` per
     node and period.  Indexing builds that node's
     :class:`SimulationResult` from its row, so a consumer iterating
     node by node keeps one node's record objects alive at a time.
@@ -269,7 +307,6 @@ class BatchResults(Sequence[SimulationResult]):
         self._names = scheduler_names
         self._t_ns = t_ns
         self._c_ns = c_ns
-        self._active = active
         self._day_period = [
             timeline.unflatten_period(p) for p in range(periods)
         ]
@@ -278,6 +315,11 @@ class BatchResults(Sequence[SimulationResult]):
         self.energy = np.zeros((n, periods, len(_ENERGY_FIELDS)))
         self.executed = np.zeros((n, periods, max(t_ns)), dtype=bool)
         self.start_voltages = np.zeros((n, periods, max(c_ns)))
+        #: Each period's active capacitor after the coarse hook; rows
+        #: that never switch keep their initial column throughout.
+        self.active_index = np.repeat(
+            np.asarray(active, dtype=np.int16)[:, None], periods, axis=1
+        )
 
     def record_period(
         self,
@@ -315,18 +357,120 @@ class BatchResults(Sequence[SimulationResult]):
                 **dict(zip(_ENERGY_FIELDS, energies)),
                 brownout_slots=brown,
                 start_voltages=volts[p].copy(),
-                active_index=self._active[row],
+                active_index=active,
             )
-            for p, ((day, period), misses, energies, brown) in enumerate(
-                zip(
-                    self._day_period,
-                    self.miss_count[row].tolist(),
-                    self.energy[row].tolist(),
-                    self.brownouts[row].tolist(),
+            for p, ((day, period), misses, energies, brown, active) in (
+                enumerate(
+                    zip(
+                        self._day_period,
+                        self.miss_count[row].tolist(),
+                        self.energy[row].tolist(),
+                        self.brownouts[row].tolist(),
+                        self.active_index[row].tolist(),
+                    )
                 )
             )
         ]
         return SimulationResult(self.timeline, self._names[row], records)
+
+
+# ----------------------------------------------------------------------
+# The paper's coarse stage, one row at a time
+# ----------------------------------------------------------------------
+class _ProposedRow:
+    """A ``proposed`` row's scheduler and its PMU-side switch rule.
+
+    :meth:`start_period` hands the scheduler the
+    :class:`PeriodStartView` the per-node engine would build, and
+    :meth:`request` replays ``PMU.request_capacitor`` (Eq. 22) on the
+    row's voltages, so the coarse stage's float sequence is the
+    per-node one.  A granted switch is left in :attr:`switch_to` for
+    the engine to apply to the bank.
+    """
+
+    def __init__(
+        self, row: int, scheduler, devices, threshold: float
+    ) -> None:
+        if threshold < 0:
+            raise ValueError(
+                f"switch_threshold must be >= 0, got {threshold}"
+            )
+        self.row = row
+        self.scheduler = scheduler
+        self.devices = tuple(devices)
+        self.threshold = threshold
+        caps = np.array([d.capacitance for d in self.devices])
+        caps.setflags(write=False)
+        self.capacitances = caps
+        self.cutoff = np.array(
+            [0.5 * d.capacitance * d.v_cutoff * d.v_cutoff for d in devices]
+        )
+        #: The node's bank starts on capacitor 0, as ``CapacitorBank``.
+        self.active = 0
+        self.switch_to: Optional[int] = None
+        self.dmr_sum = 0.0
+        self._volts: Optional[np.ndarray] = None
+
+    def start_period(
+        self,
+        timeline: Timeline,
+        graph: TaskGraph,
+        flat_p: int,
+        volts: np.ndarray,
+        last_energy: Optional[float],
+        last_powers: Optional[np.ndarray],
+    ) -> None:
+        """Run the scheduler's coarse hook for period ``flat_p``."""
+        self._volts = volts
+        self.switch_to = None
+        stored = 0.5 * self.capacitances * volts * volts
+        day, period = timeline.unflatten_period(flat_p)
+        self.scheduler.on_period_start(
+            PeriodStartView(
+                timeline=timeline,
+                graph=graph,
+                day=day,
+                period=period,
+                bank=BankView(
+                    capacitances=self.capacitances,
+                    voltages=volts,
+                    usable_energies=np.maximum(stored - self.cutoff, 0.0),
+                    active_index=self.active,
+                ),
+                accumulated_dmr=self.dmr_sum / flat_p if flat_p else 0.0,
+                last_period_energy=last_energy,
+                last_period_powers=last_powers,
+                request_capacitor=self.request,
+                force_capacitor=self.force,
+            )
+        )
+        if self.switch_to is not None:
+            self.active = self.switch_to
+
+    def request(self, index: int) -> bool:
+        """Eq. (22): switch only while the active usable energy is
+        below ``E_th``; True if ``index`` is now active."""
+        current = self.active if self.switch_to is None else self.switch_to
+        if index == current:
+            return True
+        dev = self.devices[current]
+        usable = max(
+            dev.energy_at(float(self._volts[current]))
+            - dev.energy_at(dev.v_cutoff),
+            0.0,
+        )
+        if usable < self.threshold:
+            self.force(index)
+            return True
+        return False
+
+    def force(self, index: int) -> None:
+        """Unconditional switch (``PMU.force_capacitor``)."""
+        if not 0 <= index < len(self.devices):
+            raise IndexError(
+                f"index {index} out of range [0, {len(self.devices)})"
+            )
+        self.switch_to = index
 
 
 # ----------------------------------------------------------------------
@@ -414,12 +558,21 @@ class _BatchEngine:
         # Static priority-position views of the per-task constants.
         self.powers_pos = np.take_along_axis(powers, perm, axis=1)
         self.dls_pos = np.take_along_axis(dls, perm, axis=1)
-        self.nvp_pos = np.take_along_axis(nvp, perm, axis=1)
+        nvp_pos = np.take_along_axis(nvp, perm, axis=1)
         self._pos_range = np.arange(t_max)
+        # nvp_before[i, p, q]: position q precedes p on p's NVP.
+        self.nvp_before = (nvp_pos[:, None, :] == nvp_pos[:, :, None]) & (
+            self._pos_range[None, :] < self._pos_range[:, None]
+        )
+        self._pos_bits = (1 << self._pos_range).astype(np.int16)
         # Fancy-index pair equivalent to take/put_along_axis(perm) but
         # without rebuilding the index tuple every slot.
         self._gather_rows = self._rows[:, None]
         self.k_max = max(g.num_nvps for g in graphs)
+        # nvp_onehot[i, t, k]: task t of row i runs on NVP k.
+        self.nvp_onehot = self.valid[:, :, None] & (
+            nvp[:, :, None] == np.arange(self.k_max)
+        )
         # cycle_cost accumulates 3e-6 per transitioned NVP by repeated
         # addition in the scalar engine; precompute that prefix sum the
         # same way so k transitions index the identical float.
@@ -429,19 +582,20 @@ class _BatchEngine:
         self._cycle_table = np.array(costs)
 
     def _setup_bank(self) -> None:
-        """Bank constants, padded column-wise; active column is static.
+        """Bank constants, padded column-wise, and each row's active column.
 
         Baseline policies pin the largest capacitor at the first period
         and never switch (``StaticLargestCapacitorMixin``); the random
-        policy never selects at all.  Either way the active index is a
-        per-node constant, so charge/discharge touch one static column
-        of the shared row kernel (:class:`~repro.energy.kernel.BankRows`).
+        policy never selects at all.  Their active column is fixed
+        here, so they pay nothing per slot for switching.  ``proposed``
+        rows start on capacitor 0 and move at period starts under
+        Eq. (22) (:meth:`~repro.energy.kernel.BankRows.select`).
         """
         banks = [list(case.capacitors) for case in self.cases]
         self.c_ns = [len(b) for b in banks]
         active = [
             0
-            if case.policy == "random"
+            if case.policy in ("random", "proposed")
             else int(np.array([d.capacitance for d in devices]).argmax())
             for case, devices in zip(self.cases, banks)
         ]
@@ -453,11 +607,29 @@ class _BatchEngine:
         self.is_asap = np.array([p == "asap" for p in policies])
         self.is_lsa = np.array([p == "inter-task" for p in policies])
         self.is_intra = np.array([p == "intra-task" for p in policies])
+        self.is_proposed = np.array([p == "proposed" for p in policies])
         self.idx_lsa = np.flatnonzero(self.is_lsa)
         self.idx_intra = np.flatnonzero(self.is_intra)
+        self.idx_proposed = np.flatnonzero(self.is_proposed)
         self.idx_random = np.flatnonzero(
             np.array([p == "random" for p in policies])
         )
+        self.proposed: List[_ProposedRow] = []
+        for i in self.idx_proposed.tolist():
+            case = self.cases[i]
+            scheduler = _row_scheduler(i, case.trained)
+            scheduler.bind(self.tl, case.graph)
+            self.proposed.append(
+                _ProposedRow(
+                    i, scheduler, case.capacitors,
+                    case.trained.switch_threshold,
+                )
+            )
+        self.names = [
+            _SCHEDULER_NAMES.get(case.policy) for case in self.cases
+        ]
+        for row in self.proposed:
+            self.names[row.row] = row.scheduler.name
         # One persistent generator per random node: the stream carries
         # across slots and periods exactly like RandomScheduler's.
         # (row, bound rng.random, nvp list, power list) tuples keep the
@@ -478,12 +650,15 @@ class _BatchEngine:
         # a size.  Restricting the table to the current optional set
         # (bitmask inclusion) visits the same combinations in the same
         # order, because relabeling optional positions is monotone.
-        if self.idx_intra.size:
-            t_intra = max(self.t_ns[i] for i in self.idx_intra)
+        # Proposed rows get table rows too; a period in intra mode
+        # uses them.
+        self.idx_combo = np.flatnonzero(self.is_intra | self.is_proposed)
+        if self.idx_combo.size:
+            t_combo = max(self.t_ns[i] for i in self.idx_combo)
             combos = [
                 combo
-                for r in range(1, t_intra + 1)
-                for combo in combinations(range(t_intra), r)
+                for r in range(1, t_combo + 1)
+                for combo in combinations(range(t_combo), r)
             ]
             # int16 holds every MAX_BATCH_TASKS-bit mask and keeps the
             # per-slot (intra rows, combos) availability temporary small.
@@ -493,15 +668,14 @@ class _BatchEngine:
             )
             # Power sums are static per node: accumulate each combo in
             # ascending position order like the scalar sum(...) does.
-            pos = self.powers_pos[self.idx_intra]
-            sums = np.zeros((self.idx_intra.size, len(combos)))
+            pos = self.powers_pos[self.idx_combo]
+            sums = np.zeros((self.idx_combo.size, len(combos)))
             for j, combo in enumerate(combos):
                 acc = pos[:, combo[0]].copy()
                 for p in combo[1:]:
                     acc = acc + pos[:, p]
                 sums[:, j] = acc
             self.combo_sums = sums
-            self.intra_rows = np.arange(self.idx_intra.size)
         self.predictors = {
             int(i): WCMAPredictor(self.tl) for i in self.idx_lsa
         }
@@ -510,34 +684,54 @@ class _BatchEngine:
     def run(self) -> "BatchResults":
         tl = self.tl
         n, t_max, k_max = self.n, self.t_max, self.k_max
-        rows = self._rows
         dt = tl.slot_seconds
         slots = tl.slots_per_period
         perm = self.perm
         powers_pos = self.powers_pos
-        nvp_pos = self.nvp_pos
         has_lsa = self.idx_lsa.size > 0
-        has_intra = self.idx_intra.size > 0
         has_random = self.idx_random.size > 0
+        has_proposed = self.idx_proposed.size > 0
+        has_admission = has_lsa or has_proposed
 
         bank = self.bank
         v = bank.v0.copy()
         powered = np.ones((n, k_max), dtype=bool)
         # Admission filter: everything admitted except what the LSA
-        # rows restrict per period (cold-start admits the full set).
+        # rows restrict per period (cold-start admits the full set)
+        # and the proposed rows' coarse subsets.
         admitted = np.ones((n, t_max), dtype=bool)
         books = BatchResults(
-            tl,
-            [_SCHEDULER_NAMES[case.policy] for case in self.cases],
-            self.t_ns,
-            self.c_ns,
-            bank.active.tolist(),
+            tl, self.names, self.t_ns, self.c_ns, bank.active.tolist()
         )
+        # Rows of the intra-task combo kernel and of the lazy inter-task
+        # pass; static unless proposed rows pick a mode per period.
+        combo_idx = self.idx_combo
+        run_combo = combo_idx.size > 0
+        if run_combo:
+            combo_sums = self.combo_sums
+            combo_powers = powers_pos[combo_idx]
+        run_lazy = False
+        solar_e = None
 
         for flat_p in range(tl.total_periods):
             day, period = tl.unflatten_period(flat_p)
             if has_lsa and flat_p > 0:
                 self._admit_lsa(day, period, v, admitted)
+            if has_proposed:
+                intra = self._coarse_proposed(flat_p, v, admitted, solar_e)
+                keep = (self.is_intra | intra)[self.idx_combo]
+                combo_idx = self.idx_combo[keep]
+                combo_sums = self.combo_sums[keep]
+                combo_powers = powers_pos[combo_idx]
+                run_combo = combo_idx.size > 0
+                lazy_idx = np.flatnonzero(self.is_proposed & ~intra)
+                lazy_powers = powers_pos[lazy_idx]
+                run_lazy = lazy_idx.size > 0
+                books.active_index[:, flat_p] = bank.active
+            if run_combo:
+                combo_rows = np.arange(combo_idx.size)
+            if has_admission:
+                admitted_pos = admitted[self._gather_rows, perm]
             books.start_voltages[:, flat_p] = v
             remaining = self.exec0.copy()
             missed = np.zeros((n, t_max), dtype=bool)
@@ -556,18 +750,17 @@ class _BatchEngine:
                 # Deadline check at slot start, with the dependence
                 # cascade (descendants of an incomplete missed task).
                 done = remaining <= COMPLETION_EPS
-                newly = (self.dls == slot) & ~missed & ~done
+                live = ~(done | missed)
+                newly = (self.dls == slot) & live
                 if newly.any():
                     cascade = (
-                        (newly[:, :, None] & self.desc).any(axis=1)
-                        & ~missed & ~done
+                        (newly[:, :, None] & self.desc).any(axis=1) & live
                     )
                     missed |= newly | cascade
+                    live &= ~missed
                 blocked = (self.pred & ~done[:, None, :]).any(axis=2)
-                ready = (
-                    self.valid & ~done & ~missed
-                    & (slot < self.dls) & ~blocked
-                )
+                # Padded positions have deadline slot -1: never open.
+                ready = live & (slot < self.dls) & ~blocked
                 solar_vec = solar_period[:, slot]
 
                 # Priority-position gathers + slack (must-run) test.
@@ -577,37 +770,30 @@ class _BatchEngine:
                 work_slots = -np.floor_divide(-rem_pos, dt)
                 must = (self.dls_pos - slot) - work_slots <= 0.0
 
-                # First-claim-wins NVP filter in priority order, fused
-                # with the sequential load sums every policy reuses:
+                # First-claim-wins NVP filter in priority order: a
+                # candidate loses its NVP to any earlier candidate on
+                # the same NVP (which runs, or lost to one that does).
+                cand = ready_pos & admitted_pos if has_admission else ready_pos
+                per_nvp = cand & ~(
+                    cand[:, None, :] & self.nvp_before
+                ).any(axis=2)
+                # The sequential load sums every policy reuses:
                 # ``total_load`` adds the whole claimed queue position
-                # by position — exactly the scalar ``sum(...)`` order —
-                # and ``mand_load`` its must-run subsequence.
-                cand = (
-                    ready_pos & admitted[gr, perm]
-                    if has_lsa
-                    else ready_pos
-                )
-                claimed = np.zeros((n, k_max), dtype=bool)
-                per_nvp = np.zeros((n, t_max), dtype=bool)
-                total_load = np.zeros(n)
-                mand_load = np.zeros(n)
-                for p in range(t_max):
-                    k = nvp_pos[:, p]
-                    cur = claimed[rows, k]
-                    sel = cand[:, p] & ~cur
-                    claimed[rows, k] = cur | sel
-                    per_nvp[:, p] = sel
-                    col_power = np.where(sel, powers_pos[:, p], 0.0)
-                    total_load = total_load + col_power
-                    mand_load = mand_load + np.where(
-                        must[:, p], col_power, 0.0
-                    )
+                # by position and ``mand_load`` its must-run
+                # subsequence.  ``add.accumulate`` adds left to right —
+                # exactly the scalar ``sum(...)`` order (unlike the
+                # pairwise ``np.sum``); unclaimed positions add ``0.0``.
+                col_power = np.where(per_nvp, powers_pos, 0.0)
+                total_load = np.add.accumulate(col_power, axis=1)[:, -1]
+                mand_load = np.add.accumulate(
+                    np.where(must, col_power, 0.0), axis=1
+                )[:, -1]
 
                 # Policy decisions (position space).  The sequential
                 # sums above equal the scalar engine's load for every
                 # single-segment decision (asap queue, LSA queue or
-                # mandatory subset); intra-task rows extend mand_load
-                # with their picked positions, in order, below.
+                # mandatory subset); intra-task and proposed rows extend
+                # mand_load with their picked positions, in order, below.
                 chosen_pos = per_nvp & self.is_asap[:, None]
                 load = np.where(self.is_asap, total_load, 0.0)
                 if has_lsa:
@@ -622,43 +808,59 @@ class _BatchEngine:
                         np.where(run_all, total_load, mand_load),
                         load,
                     )
-                if has_intra:
-                    budget = np.maximum(solar_vec - mand_load, 0.0)
+                if run_combo or run_lazy:
                     optional = per_nvp & ~must
-                    opt_bits = np.zeros(n, dtype=np.int16)
-                    for p in range(t_max):
-                        opt_bits = opt_bits | np.where(
-                            optional[:, p], np.int16(1 << p), np.int16(0)
-                        )
-                    ob = opt_bits[self.idx_intra]
-                    affordable = self.combo_sums <= (
-                        (budget[self.idx_intra] + 1e-12)[:, None]
-                    )
+                if run_combo:
+                    c_mand = mand_load[combo_idx]
+                    budget = np.maximum(solar_vec[combo_idx] - c_mand, 0.0)
+                    ob = np.where(
+                        optional[combo_idx], self._pos_bits, np.int16(0)
+                    ).sum(axis=1, dtype=np.int16)
+                    affordable = combo_sums <= (budget + 1e-12)[:, None]
                     available = (
                         self.combo_bits[None, :] & ~ob[:, None]
                     ) == 0
                     vals = np.where(
-                        available & affordable, self.combo_sums, -1.0
+                        available & affordable, combo_sums, -1.0
                     )
                     best = vals.argmax(axis=1)
-                    best_val = vals[self.intra_rows, best]
+                    best_val = vals[combo_rows, best]
                     picked_bits = np.where(
                         best_val > 0.0, self.combo_bits[best], 0
                     )
-                    picked = np.zeros((n, t_max), dtype=bool)
-                    picked[self.idx_intra] = (
+                    picked = (
                         (picked_bits[:, None] >> self._pos_range) & 1
                     ).astype(bool)
-                    intra_load = mand_load
-                    for p in range(t_max):
-                        intra_load = intra_load + np.where(
-                            picked[:, p], powers_pos[:, p], 0.0
-                        )
-                    chosen_pos |= (
-                        ((per_nvp & must) | picked)
-                        & self.is_intra[:, None]
-                    )
-                    load = np.where(self.is_intra, intra_load, load)
+                    # mand_load, then the picked positions in order.
+                    intra_load = np.add.accumulate(
+                        np.concatenate(
+                            (
+                                c_mand[:, None],
+                                np.where(picked, combo_powers, 0.0),
+                            ),
+                            axis=1,
+                        ),
+                        axis=1,
+                    )[:, -1]
+                    chosen_pos[combo_idx] |= (
+                        per_nvp[combo_idx] & must[combo_idx]
+                    ) | picked
+                    load[combo_idx] = intra_load
+                if run_lazy:
+                    # fine_grained_decision's lazy pass: must-run tasks,
+                    # then each optional one in priority order while
+                    # current solar still covers the running load.
+                    opt = optional[lazy_idx]
+                    lazy_load = mand_load[lazy_idx]
+                    taken = per_nvp[lazy_idx] & must[lazy_idx]
+                    cover = solar_vec[lazy_idx] + 1e-12
+                    for p in np.flatnonzero(opt.any(axis=0)).tolist():
+                        with_p = lazy_load + lazy_powers[:, p]
+                        take = opt[:, p] & (with_p <= cover)
+                        lazy_load = np.where(take, with_p, lazy_load)
+                        taken[:, p] |= take
+                    chosen_pos[lazy_idx] |= taken
+                    load[lazy_idx] = lazy_load
                 chosen = np.zeros((n, t_max), dtype=bool)
                 chosen[gr, perm] = chosen_pos
 
@@ -710,10 +912,9 @@ class _BatchEngine:
                 # NVP nonvolatility bookkeeping.
                 chosen_any = chosen.any(axis=1)
                 brown = (run_fraction < 1.0 - 1e-9) & chosen_any
-                active_nvp = np.zeros((n, k_max), dtype=bool)
-                for t in range(t_max):
-                    col = chosen[:, t]
-                    active_nvp[col, self.nvp[col, t]] = True
+                active_nvp = (chosen[:, :, None] & self.nvp_onehot).any(
+                    axis=1
+                )
                 n_changed = np.where(
                     brown,
                     (active_nvp & powered).sum(axis=1),
@@ -743,9 +944,14 @@ class _BatchEngine:
             # End of period: boundary deadline check + final sweep both
             # collapse to "every incomplete valid task is missed".
             missed |= self.valid & ~(remaining <= COMPLETION_EPS)
+            miss_count = missed.sum(axis=1)
+            if has_proposed:
+                misses = miss_count.tolist()
+                for row in self.proposed:
+                    row.dmr_sum += misses[row.row] / self.t_ns[row.row]
             books.record_period(
                 flat_p,
-                missed.sum(axis=1),
+                miss_count,
                 started,
                 (
                     solar_e, load_e, direct_e, storage_e,
@@ -761,6 +967,44 @@ class _BatchEngine:
         return books
 
     # ------------------------------------------------------------------
+    def _coarse_proposed(
+        self,
+        flat_p: int,
+        v: np.ndarray,
+        admitted: np.ndarray,
+        last_solar_e: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """Each proposed row's coarse hook; returns the intra-mode mask.
+
+        Writes each row's selected subset into ``admitted`` and applies
+        the granted capacitor switches to the bank.
+        """
+        intra = np.zeros(self.n, dtype=bool)
+        switched: List[Tuple[int, int]] = []
+        for row in self.proposed:
+            i = row.row
+            t_n = self.t_ns[i]
+            before = row.active
+            row.start_period(
+                self.tl,
+                self.graphs[i],
+                flat_p,
+                v[i, : self.c_ns[i]].copy(),
+                None if flat_p == 0 else float(last_solar_e[i]),
+                None if flat_p == 0 else self._solar[i, flat_p - 1].copy(),
+            )
+            if row.active != before:
+                switched.append((i, row.active))
+            row_adm = np.zeros(self.t_max, dtype=bool)
+            row_adm[list(row.scheduler.selected)] = True
+            row_adm[t_n:] = True
+            admitted[i] = row_adm
+            intra[i] = row.scheduler.intra_mode
+        if switched:
+            rows, cols = zip(*switched)
+            self.bank.select(rows, cols)
+        return intra
+
     def _admit_lsa(
         self, day: int, period: int, v: np.ndarray, admitted: np.ndarray
     ) -> None:

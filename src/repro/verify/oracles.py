@@ -584,12 +584,14 @@ def oracle_batch_vs_per_node(
     n_nodes: int = 8,
     seed: int = 0,
     label: str = "",
+    policies: Optional[Sequence[str]] = None,
 ) -> CheckOutcome:
     """One fleet shard through both executors; demand bit-identity.
 
     Simulates ``n_nodes`` heterogeneous fleet nodes (mixed policies,
     bank sizes, panel scales — the standard ``fleet_variations``
-    population of the seed) once through the node-major batched engine
+    population of the seed, drawn from ``policies`` or the fleet's
+    default pool) once through the node-major batched engine
     (:func:`~repro.fleet.runner.simulate_shard_batch`) and once
     through the scalar per-node engine, then compares the complete
     :class:`~repro.fleet.result.NodeSummary` of every node — the
@@ -600,7 +602,11 @@ def oracle_batch_vs_per_node(
     from ..fleet.spec import FleetSpec
 
     out = CheckOutcome(name="oracle/batch-vs-per-node", subject=label)
-    fleet = FleetSpec(n_nodes=n_nodes, seed=seed)
+    fleet = FleetSpec(
+        n_nodes=n_nodes,
+        seed=seed,
+        **({} if policies is None else {"policies": tuple(policies)}),
+    )
     base = fleet.base_trace()
     specs = [fleet.node_spec(i) for i in range(n_nodes)]
     batched = simulate_shard_batch(fleet, base, specs)

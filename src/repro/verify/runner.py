@@ -245,6 +245,20 @@ def run_verification(
                     label=f"fleet-{fleet_nodes}",
                 )
             )
+            from ..fleet.spec import FleetSpec
+
+            proposed_nodes = 4 if level == "smoke" else 8
+            for policies in (
+                ("proposed",),
+                (*FleetSpec(n_nodes=1).policies, "proposed"),
+            ):
+                report.add(
+                    oracle_batch_vs_per_node(
+                        n_nodes=proposed_nodes, seed=0,
+                        label=f"{'+'.join(policies)}-{proposed_nodes}",
+                        policies=policies,
+                    )
+                )
 
             log("oracle: array sizing vs scalar day simulation")
             report.add(

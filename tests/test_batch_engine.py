@@ -10,20 +10,29 @@ scalar engine — not statistical agreement.  This suite pins it:
   a shard where every node differs;
 - hypothesis properties: batch-split invariance, node-order
   permutation invariance, per-row physics invariants on batched state;
-- "teeth": a deliberately corrupted leakage row must surface as a
-  structured Violation naming exactly the offending node.
+- the paper's ``proposed`` scheduler as batch rows: mixed with every
+  baseline, Eq. (22) switches granted and refused, both δ modes and
+  the degradation ladder, per-period ``active_index`` included;
+- "teeth": a deliberately corrupted leakage row, or one proposed row's
+  corrupted coarse decision, must surface as a structured Violation
+  naming exactly the offending node.
 """
 
 import dataclasses
 import tracemalloc
+import zlib
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import DEFAULT_BANK_FARADS, quick_node
+from repro.core.online import CoarsePolicy, HeuristicPolicy, ProposedScheduler
 from repro.energy.capacitor import SuperCapacitor
 from repro.fleet import FleetRunner, FleetSpec, simulate_node, simulate_shard_batch
+from repro.fleet.runner import _proposed_policy
+from repro.fleet.spec import node_trace
 from repro.reliability import RUNTIME_SCENARIOS, FaultInjector, runtime_scenario
 from repro.schedulers import GreedyEDFScheduler, IntraTaskScheduler
 from repro.sim import result_fingerprint
@@ -246,13 +255,18 @@ class TestDegenerateShapes:
         with pytest.raises(ValueError, match="not batch-eligible"):
             simulate_batch([case])
 
+    def test_untrained_proposed_case_raises(self):
+        case = self._clean_case(policy="proposed")
+        with pytest.raises(ValueError, match="needs a trained policy"):
+            simulate_batch([case])
+
 
 class TestEligibility:
     def test_reasons(self):
         graph = paper_benchmarks()["WAM"]
         assert batch_ineligibility("asap", graph) is None
         assert "not batched" in batch_ineligibility("dvfs", graph)
-        assert "not batched" in batch_ineligibility("proposed", graph)
+        assert batch_ineligibility("proposed", graph) is None
         assert "per-node" in batch_ineligibility(
             "asap", graph, fault_injector=object()
         )
@@ -264,18 +278,220 @@ class TestEligibility:
         )
         assert "MAX_BATCH_TASKS" in batch_ineligibility("asap", wide)
         assert set(BATCH_POLICIES) == {
-            "asap", "inter-task", "intra-task", "random"
+            "asap", "inter-task", "intra-task", "random", "proposed"
         }
+
+
+# ----------------------------------------------------------------------
+# The paper's proposed scheduler as batch rows
+# ----------------------------------------------------------------------
+#: A fleet holding every batched policy, two of them ``proposed``.
+MIXED = FleetSpec(n_nodes=10, seed=3, policies=BATCH_POLICIES)
+
+
+@pytest.fixture(scope="module")
+def trained_wam():
+    """The fleet-budget trained policy of the WAM workload."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_NO_CACHE", "1")
+        return _proposed_policy(MIXED, "wam")
+
+
+class _SteeredPolicy(CoarsePolicy):
+    """A coarse stage that exercises every branch of the batch rows.
+
+    Wraps a real coarse policy; call ``k`` requests capacitor
+    ``k % H``, alternates α between the intra-task (α = 1) and lazy
+    inter-task (α = 3) modes, every third call drops a task picked by
+    a checksum of the inputs (so any drift in the view the row builds
+    changes the schedule), and raises on the calls in ``fail_calls``.
+    """
+
+    def __init__(self, inner: CoarsePolicy, n_caps: int, fail_calls=()):
+        self.inner = inner
+        self.n_caps = n_caps
+        self.fail_calls = set(fail_calls)
+        self.calls = 0
+
+    def decide(self, prev_solar, voltages, accumulated_dmr):
+        k = self.calls
+        self.calls += 1
+        if k in self.fail_calls:
+            raise RuntimeError(f"stub inference failure on call {k}")
+        _, _, te = self.inner.decide(prev_solar, voltages, accumulated_dmr)
+        te = np.ones(len(te), dtype=bool)
+        if k % 3 == 2:
+            inputs = np.concatenate(
+                [prev_solar, voltages, [accumulated_dmr]]
+            )
+            te[zlib.crc32(inputs.tobytes()) % len(te)] = False
+        return k % self.n_caps, 1.0 if k % 2 == 0 else 3.0, te
+
+
+@dataclasses.dataclass
+class _SteeredTrained:
+    """What a batch row reads of a trained policy, with a steered DBN."""
+
+    trained: object
+    switch_threshold: float
+    fail_calls: tuple = ()
+    fallback: Optional[Callable[[], CoarsePolicy]] = None
+
+    @property
+    def capacitors(self):
+        return self.trained.capacitors
+
+    @property
+    def graph(self):
+        return self.trained.graph
+
+    def make_scheduler(self):
+        inner = self.trained.make_scheduler().policy
+        return ProposedScheduler(
+            _SteeredPolicy(inner, len(self.capacitors), self.fail_calls),
+            delta=self.trained.delta,
+            fallback_policy=self.fallback() if self.fallback else None,
+        )
+
+
+def _proposed_case(trained, node_id=0):
+    spec = MIXED.node_spec(node_id)
+    return BatchCase(
+        graph=trained.graph,
+        trace=node_trace(MIXED.base_trace(), spec),
+        capacitors=tuple(trained.capacitors),
+        policy="proposed",
+        trained=trained,
+    )
+
+
+def _assert_rows_match_per_node(cases):
+    """Every batched row equals its per-node run, records included."""
+    results = simulate_batch(cases)
+    for i, (case, batched) in enumerate(zip(cases, results)):
+        reference = _per_node_reference(case)
+        _assert_identical(batched, reference, f"row {i}")
+        assert [p.active_index for p in batched.periods] == [
+            p.active_index for p in reference.periods
+        ]
+        assert batched.scheduler_name == reference.scheduler_name
+    return results
+
+
+class TestProposedRows:
+    def test_mixed_with_every_baseline(self):
+        """Proposed rows beside asap/inter/intra/random rows, one batch:
+        every NodeSummary equals simulate_node."""
+        base = MIXED.base_trace()
+        specs = MIXED.node_specs()
+        assert {s.policy for s in specs} == set(BATCH_POLICIES)
+        assert sum(s.policy == "proposed" for s in specs) >= 2
+        for spec, got in zip(specs, simulate_shard_batch(MIXED, base, specs)):
+            assert got == simulate_node(MIXED, base, spec), (
+                f"node {spec.node_id} ({spec.policy}/{spec.graph_kind})"
+            )
+
+    def test_trained_rows_match_per_node(self, trained_wam):
+        """The trained policy itself, three nodes' weather."""
+        _assert_rows_match_per_node(
+            [_proposed_case(trained_wam, i) for i in range(3)]
+        )
+
+    def test_eq22_grants_switches_under_a_raised_threshold(
+        self, trained_wam
+    ):
+        steered = _SteeredTrained(trained_wam, switch_threshold=1e9)
+        (result,) = _assert_rows_match_per_node([_proposed_case(steered)])
+        active = [p.active_index for p in result.periods]
+        assert len(set(active)) == len(trained_wam.capacitors)
+
+    def test_eq22_refuses_switches_under_a_zero_threshold(
+        self, trained_wam
+    ):
+        steered = _SteeredTrained(trained_wam, switch_threshold=0.0)
+        (result,) = _assert_rows_match_per_node([_proposed_case(steered)])
+        assert {p.active_index for p in result.periods} == {0}
+
+    def test_both_delta_modes_and_default_threshold(
+        self, trained_wam, monkeypatch
+    ):
+        """α alternates 1 and 3: intra-task and lazy inter-task periods
+        in one row, beside an unsteered row of the same workload."""
+        import repro.sim.batch as batch_mod
+
+        modes = []
+        real = batch_mod._row_scheduler
+
+        def spy(row, trained):
+            scheduler = real(row, trained)
+            hook = scheduler.on_period_start
+
+            def on_period_start(view):
+                hook(view)
+                modes.append((row, scheduler.intra_mode))
+
+            scheduler.on_period_start = on_period_start
+            return scheduler
+
+        monkeypatch.setattr(batch_mod, "_row_scheduler", spy)
+        steered = _SteeredTrained(
+            trained_wam, switch_threshold=trained_wam.switch_threshold
+        )
+        _assert_rows_match_per_node(
+            [_proposed_case(steered, 1), _proposed_case(trained_wam, 2)]
+        )
+        assert {mode for row, mode in modes if row == 0} == {True, False}
+
+    @pytest.mark.parametrize("with_fallback", [False, True])
+    def test_degradation_ladder_matches_per_node(
+        self, trained_wam, with_fallback, monkeypatch
+    ):
+        """Primary failures: retries, the fallback policy or the
+        inter-task-only rung, then quarantine — all replayed per row."""
+        import repro.sim.batch as batch_mod
+
+        built = []
+        real = batch_mod._row_scheduler
+
+        def record(row, trained):
+            built.append(real(row, trained))
+            return built[-1]
+
+        monkeypatch.setattr(batch_mod, "_row_scheduler", record)
+        fallback = None
+        if with_fallback:
+            def fallback():
+                return HeuristicPolicy(
+                    trained_wam.graph,
+                    trained_wam.capacitors,
+                    MIXED.timeline().period_seconds,
+                )
+        steered = _SteeredTrained(
+            trained_wam,
+            switch_threshold=1e9,
+            # Calls 0-5 fail: three failed periods quarantine the
+            # primary; calls 9-10 fail once more after it returns.
+            fail_calls=(0, 1, 2, 3, 4, 5, 9, 10),
+            fallback=fallback,
+        )
+        _assert_rows_match_per_node(
+            [_proposed_case(steered, 0), _proposed_case(trained_wam, 3)]
+        )
+        # 3 periods x 2 failed attempts, 10 quarantined periods with no
+        # call, then 11 periods of one call each plus one retry.
+        assert built[0].policy.calls == 6 + 11 + 1
 
 
 # ----------------------------------------------------------------------
 # Hypothesis properties
 # ----------------------------------------------------------------------
 def _tiny_cases(seed, n_nodes):
-    """n heterogeneous eligible cases sharing one tiny timeline."""
+    """n heterogeneous eligible untrained cases on one tiny timeline."""
     tl = tiny_timeline(periods_per_day=3)
     variations = fleet_variations(
-        seed, n_nodes, policies=BATCH_POLICIES
+        seed,
+        n_nodes,
+        policies=tuple(p for p in BATCH_POLICIES if p != "proposed"),
     )
     return [
         _case_from_variation(var, random_trace(tl, seed + i))
@@ -384,6 +600,47 @@ class TestOracleTeeth:
         assert "fingerprint" in v.details["differing_fields"]
         assert v.details["policy"]
         assert v.details["graph_kind"]
+
+    def test_clean_proposed_oracle_passes(self):
+        out = oracle_batch_vs_per_node(
+            n_nodes=4, seed=0, label="proposed", policies=("proposed",)
+        )
+        assert out.passed
+        assert out.checked == 4
+
+    def test_corrupted_coarse_decision_names_the_node(self, monkeypatch):
+        """One proposed row's task subset inverted in the batch path
+        only: the oracle must name exactly that node."""
+        import repro.sim.batch as batch_mod
+
+        target_row = 1
+        real = batch_mod._row_scheduler
+
+        class Inverted(CoarsePolicy):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def decide(self, prev_solar, voltages, accumulated_dmr):
+                cap, alpha, te = self.inner.decide(
+                    prev_solar, voltages, accumulated_dmr
+                )
+                return cap, alpha, ~np.asarray(te, dtype=bool)
+
+        def corrupt(row, trained):
+            scheduler = real(row, trained)
+            if row == target_row:
+                scheduler.policy = Inverted(scheduler.policy)
+            return scheduler
+
+        monkeypatch.setattr(batch_mod, "_row_scheduler", corrupt)
+        out = oracle_batch_vs_per_node(
+            n_nodes=4, seed=0, label="teeth", policies=("proposed",)
+        )
+        assert not out.passed
+        assert {v.details["node_id"] for v in out.violations} == {
+            target_row
+        }
+        assert out.violations[0].details["policy"] == "proposed"
 
 
 # ----------------------------------------------------------------------

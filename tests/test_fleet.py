@@ -98,6 +98,44 @@ class TestFleetSpec:
         with pytest.raises(ValueError):
             FleetSpec(n_nodes=2, bank_size=(3, 2))
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"days": 0}, "num_days"),
+            ({"periods_per_day": 0}, "periods_per_day"),
+            ({"slots_per_period": 0}, "slots_per_period"),
+            ({"slot_seconds": -1.0}, "slot_seconds"),
+            (
+                {"policies": ("proposed",), "proposed_train_days": 0},
+                "num_days",
+            ),
+            (
+                {"policies": ("proposed",), "proposed_epochs": 0},
+                "proposed_epochs",
+            ),
+        ],
+    )
+    def test_validates_timeline(self, kwargs, field):
+        """A bad timeline or training budget fails at construction, not
+        in every shard after its retries."""
+        with pytest.raises(ValueError, match=field):
+            FleetSpec(n_nodes=3, **kwargs)
+
+    def test_cli_bad_timeline_exits_2_before_dispatch(
+        self, capsys, monkeypatch
+    ):
+        import repro.fleet.runner as runner_mod
+        from repro.cli import main
+
+        def no_dispatch(*args, **kwargs):
+            raise AssertionError("a shard was dispatched")
+
+        monkeypatch.setattr(runner_mod, "_run_shard", no_dispatch)
+        code = main(["fleet", "run", "--nodes", "4", "--days", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: num_days must be >= 1, got 0"]
+
     def test_reified_random_kind_is_valid_task_mix(self):
         FleetSpec(n_nodes=2, task_mix=("random:17",))
 

@@ -19,12 +19,8 @@ from repro.perf.cache import (
     default_cache_dir,
     hash_key,
 )
-from repro.perf.parallel import (
-    MIN_POOL_ITEMS,
-    parallel_map,
-    plan_pool,
-    resolve_workers,
-)
+from repro.perf.parallel import MIN_POOL_ITEMS, plan_pool, resolve_workers
+from repro.reliability.supervisor import supervised_map
 from repro.sim import result_fingerprint
 from repro.solar import synthetic_trace
 from repro.tasks import paper_benchmarks
@@ -147,11 +143,11 @@ class TestArtifactCache:
     def test_concurrent_writers_same_key(self, tmp_path):
         """Writers racing the same key never corrupt it or leave
         temp-file droppings (tmp-file + ``os.replace`` contract)."""
-        results = parallel_map(
+        results = supervised_map(
             _race_write,
             [(str(tmp_path), i) for i in range(4)],
             n_workers=4,
-        )
+        ).results
         assert results == [True] * 4
         final = ArtifactCache(tmp_path).get("policy", "contended")
         assert final is not None and final["blob"] == _RACE_BLOB
@@ -222,7 +218,7 @@ class TestParallelRunner:
 
     def test_order_preserved(self):
         items = list(range(20))
-        assert parallel_map(_square, items, n_workers=4) == [
+        assert supervised_map(_square, items, n_workers=4).results == [
             x * x for x in items
         ]
 
@@ -268,26 +264,26 @@ class TestAdaptivePoolPlan:
         monkeypatch.setattr(mod.os, "cpu_count", lambda: 8)
         assert plan_pool(4, 100)[1] == "pool"
 
-    def test_parallel_map_serial_fallback_matches_pool(self):
+    def test_supervised_map_serial_fallback_matches_pool(self):
         items = list(range(10))
         expected = [x * x for x in items]
-        assert parallel_map(
+        assert supervised_map(
             _square, items, n_workers=4, assume_cpus=1
-        ) == expected
-        assert parallel_map(
+        ).results == expected
+        assert supervised_map(
             _square, items, n_workers=4, assume_cpus=8
-        ) == expected
+        ).results == expected
 
     def test_decision_recorded_as_obs_event(self):
         from repro.obs.sinks import RingBufferSink
 
         sink = RingBufferSink()
         observer = Observer(sinks=[sink])
-        parallel_map(
+        supervised_map(
             _square, [1, 2, 3], n_workers=4, observer=observer,
             assume_cpus=1,
         )
-        parallel_map(
+        supervised_map(
             _square, [1, 2, 3], n_workers=4, observer=observer,
             assume_cpus=8,
         )
@@ -302,19 +298,19 @@ class TestAdaptivePoolPlan:
 
     def test_on_result_fires_per_completion(self):
         landed = []
-        out = parallel_map(
+        out = supervised_map(
             _square, [1, 2, 3],
             on_result=lambda i, r: landed.append((i, r)),
-        )
+        ).results
         assert out == [1, 4, 9]
         assert landed == [(0, 1), (1, 4), (2, 9)]  # serial: input order
 
     def test_on_result_fires_in_pool_mode(self):
         landed = []
-        out = parallel_map(
+        out = supervised_map(
             _square, [1, 2, 3, 4], n_workers=2, assume_cpus=4,
             on_result=lambda i, r: landed.append((i, r)),
-        )
+        ).results
         assert out == [1, 4, 9, 16]  # results stay input-ordered
         assert sorted(landed) == [(0, 1), (1, 4), (2, 9), (3, 16)]
 

@@ -29,7 +29,7 @@ from repro.obs.trace import (
     derive_trace_id,
     render_span_tree,
 )
-from repro.perf.parallel import traced_map
+from repro.reliability.supervisor import supervised_traced_map
 
 
 def collecting_observer():
@@ -145,17 +145,14 @@ def _traced_double(x):
 
 
 class TestTracedMap:
-    def test_without_tracer_equals_parallel_map(self):
-        assert traced_map(_traced_double, [1, 2, 3]) == [2, 4, 6]
-
     def test_serial_records_reparent(self):
         records = []
         tracer = Tracer(records.append, "t")
         with tracer.span("parent") as parent:
-            out = traced_map(
+            out = supervised_traced_map(
                 _traced_double, [1, 2], name="cell", keys=["a", "b"],
                 tracer=tracer,
-            )
+            ).results
         assert out == [2, 4]
         cells = [r for r in records if r["name"] == "cell"]
         assert [r["key"] for r in cells] == ["a", "b"]
@@ -172,10 +169,10 @@ class TestTracedMap:
         records = []
         tracer = Tracer(records.append, "t")
         with tracer.span("parent"):
-            out = traced_map(
+            out = supervised_traced_map(
                 _traced_double, [1, 2, 3], name="cell", n_workers=3,
                 tracer=tracer,
-            )
+            ).results
         assert out == [2, 4, 6]
         tree = build_span_tree(records)
         assert len(tree.roots) == 1 and not tree.orphans
@@ -184,7 +181,9 @@ class TestTracedMap:
     def test_key_count_mismatch(self):
         tracer = Tracer(lambda r: None, "t")
         with pytest.raises(ValueError):
-            traced_map(_traced_double, [1, 2], keys=["a"], tracer=tracer)
+            supervised_traced_map(
+                _traced_double, [1, 2], keys=["a"], tracer=tracer
+            )
 
 
 class TestFleetTrace:
